@@ -11,13 +11,11 @@ fraction rises) and the average aggregation distance drops.
 import numpy as np
 
 from fuse3d import (
-    SamplerConfig,
     SyntheticSceneSpec,
     aad,
     farthest_point_sampling,
     generate_scene,
-    hybrid_sample,
-    lambda_sweep,
+    hybrid_sweep,
 )
 
 # The standard clustered scene: four dense gaussian blobs (foreground,
@@ -33,11 +31,11 @@ _, fps_aad = aad(cloud, fps)
 print(f"pure FPS      n={n}: mean AAD {fps_aad:8.4f}, "
       f"foreground share {np.mean(attention[fps] > 0.5):.3f}")
 
-# Sweep the oversample factor.
+# Sweep the oversample factor; all factors share one FPS run.
 lambdas = [1.0, 1.2, 1.4, 1.6, 2.0]
 print("\nlambda   mean AAD   foreground share")
-for lam, mean_aad in lambda_sweep(cloud, attention, n, lambdas):
-    picked = hybrid_sample(cloud, attention, SamplerConfig(n=n, lam=lam))
+for lam, picked in hybrid_sweep(cloud, attention, n, lambdas):
+    _, mean_aad = aad(cloud, picked)
     fg = float(np.mean(attention[picked] > 0.5))
     print(f"{lam:6.1f}   {mean_aad:8.4f}   {fg:.3f}")
 

@@ -98,6 +98,7 @@ from .sampling import (
     aad,
     farthest_point_sampling,
     hybrid_sample,
+    hybrid_sweep,
     lambda_sweep,
 )
 from .scene import SyntheticSceneSpec, generate_scene

@@ -49,7 +49,7 @@ from .losses import (
     total_loss,
 )
 from .roi import Proposal, roi_pooled_fusion, select_proposals
-from .sampling import SamplerConfig, hybrid_sample, lambda_sweep
+from .sampling import aad, hybrid_sweep
 from .scene import SyntheticSceneSpec, generate_scene
 
 _DEFAULT_LAMBDAS = "1.0,1.2,1.4,1.6,2.0"
@@ -233,15 +233,10 @@ def _study_inputs(args):
 
 def cmd_sample_study(args) -> int:
     cloud, attention = _study_inputs(args)
-    lambdas = args.lambdas
-    table = lambda_sweep(cloud, attention, args.n, lambdas,
-                         seed_index=args.seed_index)
     rows = []
-    for lam, mean_aad in table:
-        selected = hybrid_sample(
-            cloud, attention,
-            SamplerConfig(n=args.n, lam=lam, seed_index=args.seed_index),
-        )
+    for lam, selected in hybrid_sweep(cloud, attention, args.n, args.lambdas,
+                                      seed_index=args.seed_index):
+        _, mean_aad = aad(cloud, selected)
         # a score above the 0.5 midpoint marks a foreground point
         fg_fraction = float(np.mean(attention[selected] > 0.5))
         rows.append([lam, mean_aad, fg_fraction])

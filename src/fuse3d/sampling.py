@@ -31,6 +31,11 @@ class SamplerConfig:
     seed_index: int = 0
 
 
+# rows of the AAD distance matrix held at once; bounds aad's working
+# memory to O(_AAD_CHUNK * k) instead of O(k * k)
+_AAD_CHUNK = 128
+
+
 def farthest_point_sampling(
     cloud: PointCloud, n: int, seed_index: int = 0
 ) -> np.ndarray:
@@ -40,6 +45,13 @@ def farthest_point_sampling(
     minimum squared Euclidean distance to the already-chosen set is
     largest. Distance ties resolve toward the lower index, so the
     result is fully deterministic.
+
+    Each pick depends only on the picks before it, so the first m
+    entries of FPS(n) are exactly FPS(m) for every m <= n.
+
+    Working memory is O(N): three coordinate columns, the running
+    minimum distances and two scratch vectors, all allocated before the
+    first pick and updated in place.
 
     Returns
     -------
@@ -51,19 +63,79 @@ def farthest_point_sampling(
         raise InvalidCount(f"cannot sample {n} of {total} points")
     if not 0 <= seed_index < total:
         raise InvalidCount(f"seed_index {seed_index} outside [0, {total})")
-    chosen = np.empty(n, dtype=np.intp)
-    chosen[0] = seed_index
+    x, y, z = (np.ascontiguousarray(coords[:, j]) for j in range(3))
     # min squared distance from each point to the chosen set; chosen
     # entries are forced negative so argmax never revisits them
-    min_d2 = np.sum((coords - coords[seed_index]) ** 2, axis=1)
-    min_d2[seed_index] = -1.0
+    min_d2 = np.full(total, np.inf)
+    d2 = np.empty(total)
+    tmp = np.empty(total)
+    chosen = np.empty(n, dtype=np.intp)
+    chosen[0] = last = seed_index
     for k in range(1, n):
-        nxt = int(np.argmax(min_d2))
-        chosen[k] = nxt
-        d2 = np.sum((coords - coords[nxt]) ** 2, axis=1)
+        # d2 = dx*dx + dy*dy + dz*dz in this order: the order fixes the
+        # rounding, and with it which of two near-equal distances wins
+        np.subtract(x, x[last], out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.subtract(y, y[last], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(d2, tmp, out=d2)
+        np.subtract(z, z[last], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(d2, tmp, out=d2)
         np.minimum(min_d2, d2, out=min_d2)
-        min_d2[nxt] = -1.0
+        min_d2[last] = -1.0
+        last = chosen[k] = min_d2.argmax()
     return chosen
+
+
+def hybrid_sweep(
+    cloud: PointCloud,
+    attention,
+    n: int,
+    lambdas,
+    seed_index: int = 0,
+) -> list[tuple[float, np.ndarray]]:
+    """The hybrid sample at several oversample factors from one FPS run.
+
+    Every factor is validated before any sampling runs. FPS then runs
+    once, for the largest candidate count; each factor ranks a prefix
+    of that run, which is exactly the FPS its own ``hybrid_sample``
+    would draw (see ``farthest_point_sampling``).
+
+    Returns
+    -------
+    list of (lam, indices) sorted by lam, each ``indices`` equal to
+    ``hybrid_sample(cloud, attention, SamplerConfig(n, lam, seed_index))``.
+    """
+    att = np.asarray(attention, dtype=np.float64)
+    total = len(cloud)
+    if att.shape != (total,):
+        raise DimensionMismatch(
+            f"attention has shape {att.shape}, expected ({total},)"
+        )
+    # phrased so that NaN, which fails every comparison, is rejected
+    if not ((att > 0.0) & (att < 1.0)).all():
+        raise ValueError("attention scores must lie strictly in (0, 1)")
+    if n < 1 or n > total:
+        raise InvalidCount(f"cannot sample {n} of {total} points")
+    lams = [float(lam) for lam in lambdas]
+    for lam in lams:
+        if not 1.0 <= lam or lam * n > total * (1.0 + 1e-12):
+            raise InvalidCount(
+                f"oversample factor {lam} outside [1, {total}/{n}]"
+            )
+    if not lams:
+        return []
+    lams.sort()
+    counts = [min(total, math.ceil(lam * n)) for lam in lams]
+    candidates = farthest_point_sampling(cloud, counts[-1], seed_index)
+    rows = []
+    for lam, m in zip(lams, counts):
+        prefix = candidates[:m]
+        # descending score, ties toward the lower point index
+        order = np.lexsort((prefix, -att[prefix]))
+        rows.append((lam, prefix[order[:n]]))
+    return rows
 
 
 def hybrid_sample(
@@ -79,29 +151,18 @@ def hybrid_sample(
     At lam = 1 the output set equals plain FPS; at lam = N/n it equals
     the global attention top-n.
 
+    Raises
+    ------
+    ValueError
+        When a score is outside (0, 1) or NaN.
+
     Returns
     -------
     (n,) int ndarray of indices in descending-score order.
     """
-    att = np.asarray(attention, dtype=np.float64)
-    total = len(cloud)
-    if att.shape != (total,):
-        raise DimensionMismatch(
-            f"attention has shape {att.shape}, expected ({total},)"
-        )
-    if att.size and (att.min() <= 0.0 or att.max() >= 1.0):
-        raise ValueError("attention scores must lie strictly in (0, 1)")
-    n = cfg.n
-    if n < 1 or n > total:
-        raise InvalidCount(f"cannot sample {n} of {total} points")
-    if cfg.lam < 1.0 or cfg.lam * n > total * (1.0 + 1e-12):
-        raise InvalidCount(
-            f"oversample factor {cfg.lam} outside [1, {total}/{n}]"
-        )
-    m = min(total, math.ceil(cfg.lam * n))
-    candidates = farthest_point_sampling(cloud, m, cfg.seed_index)
-    ranked = sorted(candidates.tolist(), key=lambda i: (-att[i], i))
-    return np.asarray(ranked[:n], dtype=np.intp)
+    [(_, selected)] = hybrid_sweep(cloud, attention, cfg.n, [cfg.lam],
+                                   cfg.seed_index)
+    return selected
 
 
 def aad(
@@ -113,6 +174,9 @@ def aad(
     sampled points of the squared Euclidean distance (the literal
     definition; pass ``squared=False`` for the plain-distance variant).
     Lower values mean a more clustered sample.
+
+    Distances are computed ``_AAD_CHUNK`` rows at a time, so working
+    memory is O(_AAD_CHUNK * k) for k sampled points.
 
     Returns
     -------
@@ -133,10 +197,15 @@ def aad(
             f"need at least 4 sampled points, got {idx.size}"
         )
     pts = cloud.coords[idx]
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(d2, np.inf)
-    nearest = np.partition(d2, 2, axis=1)[:, :3]
+    nearest = np.empty((idx.size, 3))
+    for lo in range(0, idx.size, _AAD_CHUNK):
+        block = pts[lo:lo + _AAD_CHUNK]
+        diff = block[:, None, :] - pts[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        rows = np.arange(len(block))
+        d2[rows, lo + rows] = np.inf
+        d2.partition(2, axis=1)
+        nearest[lo:lo + len(block)] = d2[:, :3]
     if not squared:
         nearest = np.sqrt(nearest)
     per_point = nearest.mean(axis=1)
@@ -152,19 +221,14 @@ def lambda_sweep(
 ) -> list[tuple[float, float]]:
     """Mean AAD of the hybrid sampler across oversample factors.
 
-    Runs hybrid_sample followed by aad for every factor in ``lambdas``.
-    Stateless: the output rows are sorted by factor regardless of the
-    input order.
+    Runs aad on each sample of ``hybrid_sweep``, so every factor is
+    validated first and FPS runs once. Stateless: the output rows are
+    sorted by factor regardless of the input order.
 
     Returns
     -------
     list of (lam, mean_aad) rows sorted by lam.
     """
-    rows = []
-    for lam in lambdas:
-        cfg = SamplerConfig(n=n, lam=float(lam), seed_index=seed_index)
-        selected = hybrid_sample(cloud, attention, cfg)
-        _, mean_aad = aad(cloud, selected)
-        rows.append((float(lam), mean_aad))
-    rows.sort(key=lambda row: row[0])
-    return rows
+    return [(lam, aad(cloud, selected)[1])
+            for lam, selected in hybrid_sweep(cloud, attention, n, lambdas,
+                                              seed_index)]

@@ -1,10 +1,13 @@
 """Independent reference implementations used to check the library.
 
 Each oracle takes a different computational path from the code it
-verifies: the sampler oracle recomputes minimum distances from scratch
-every round, box containment goes through corner/edge projections
-instead of frame derotation, and the overlap oracles count Monte-Carlo
-samples instead of clipping polygons.
+verifies: the brute-force sampler oracle recomputes minimum distances
+from scratch every round, the row-wise one reduces (N, 3) rows where the
+library updates coordinate columns in place, the AAD oracle builds the
+whole distance matrix where the library works in row chunks, box
+containment goes through corner/edge projections instead of frame
+derotation, and the overlap oracles count Monte-Carlo samples instead
+of clipping polygons.
 """
 
 from __future__ import annotations
@@ -22,6 +25,32 @@ def brute_fps(coords: np.ndarray, n: int, seed_index: int = 0) -> list[int]:
         dmin[chosen] = -1.0
         chosen.append(int(np.argmax(dmin)))
     return chosen
+
+
+def rowwise_fps(coords: np.ndarray, n: int, seed_index: int = 0) -> list[int]:
+    """Greedy farthest-first selection, one (N, 3) row reduction per pick.
+
+    Needs O(N) memory, so it can check clouds too large for brute_fps.
+    """
+    chosen = [seed_index]
+    min_d2 = np.sum((coords - coords[seed_index]) ** 2, axis=1)
+    min_d2[seed_index] = -1.0
+    for _ in range(n - 1):
+        nxt = int(np.argmax(min_d2))
+        chosen.append(nxt)
+        d2 = np.sum((coords - coords[nxt]) ** 2, axis=1)
+        np.minimum(min_d2, d2, out=min_d2)
+        min_d2[nxt] = -1.0
+    return chosen
+
+
+def dense_aad(coords: np.ndarray) -> tuple[np.ndarray, float]:
+    """Squared-distance AAD from the full (k, k, 3) difference tensor."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(d2, np.inf)
+    per_point = np.partition(d2, 2, axis=1)[:, :3].mean(axis=1)
+    return per_point, float(per_point.mean())
 
 
 def brute_nms(boxes, scores, threshold: float, iou_fn) -> list[int]:

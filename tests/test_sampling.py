@@ -13,15 +13,31 @@ from fuse3d import (
     farthest_point_sampling,
     generate_scene,
     hybrid_sample,
+    hybrid_sweep,
     lambda_sweep,
     rotate_y,
     scale,
 )
-from oracles import brute_fps
+from fuse3d.sampling import _AAD_CHUNK
+from oracles import brute_fps, dense_aad, rowwise_fps
 
 
 def synthetic_attention(rng, n):
     return rng.uniform(0.05, 0.95, size=n)
+
+
+def large_clouds():
+    """4096-point clouds: uniform, a 16^3 lattice, and four copies of
+    each of 1024 integer points, so distance ties are everywhere."""
+    rng = np.random.default_rng(45)
+    axis = np.arange(16.0)
+    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+    distinct = rng.integers(0, 6, size=(1024, 3)).astype(float)
+    return {
+        "uniform": make_cloud(rng, 4096),
+        "lattice": PointCloud(lattice.reshape(-1, 3)),
+        "duplicates": PointCloud(np.repeat(distinct, 4, axis=0)),
+    }
 
 
 class TestFarthestPointSampling:
@@ -65,6 +81,19 @@ class TestFarthestPointSampling:
             seed_index = int(rng.integers(0, n_pts))
             got = farthest_point_sampling(cloud, n, seed_index).tolist()
             assert got == brute_fps(cloud.coords, n, seed_index)
+
+    @pytest.mark.parametrize("name", ["uniform", "lattice", "duplicates"])
+    def test_matches_rowwise_oracle_at_4096(self, name):
+        cloud = large_clouds()[name]
+        got = farthest_point_sampling(cloud, 1434, seed_index=7).tolist()
+        assert got == rowwise_fps(cloud.coords, 1434, seed_index=7)
+
+    def test_prefix_property(self):
+        cloud = large_clouds()["duplicates"]
+        full = farthest_point_sampling(cloud, 1500, seed_index=3)
+        for m in (1, 2, 256, 1024, 1025, 1499):
+            np.testing.assert_array_equal(
+                farthest_point_sampling(cloud, m, seed_index=3), full[:m])
 
 
 class TestHybridSample:
@@ -121,6 +150,24 @@ class TestHybridSample:
         with pytest.raises(ValueError):
             hybrid_sample(cloud, np.full(20, 1.0), SamplerConfig(n=5))
 
+    def test_rejects_nan_attention(self):
+        rng = np.random.default_rng(46)
+        cloud = make_cloud(rng, 20)
+        att = synthetic_attention(rng, 20)
+        att[3] = np.nan
+        with pytest.raises(ValueError, match="strictly in"):
+            hybrid_sample(cloud, att, SamplerConfig(n=5))
+
+    def test_tied_scores_rank_toward_lower_index(self):
+        rng = np.random.default_rng(47)
+        cloud = make_cloud(rng, 500)
+        # five distinct scores, so most candidates tie with others
+        att = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9], size=500)
+        got = hybrid_sample(cloud, att, SamplerConfig(n=100, lam=2.0))
+        stage1 = rowwise_fps(cloud.coords, 200)
+        expected = sorted(stage1, key=lambda i: (-att[i], i))[:100]
+        assert got.tolist() == expected
+
 
 class TestAad:
     def test_unit_square_corners(self):
@@ -168,6 +215,17 @@ class TestAad:
         with pytest.raises(TooFewPoints):
             aad(cloud, [0, 1, 2])
 
+    @pytest.mark.parametrize(
+        "k", [_AAD_CHUNK - 5, _AAD_CHUNK, 2 * _AAD_CHUNK + 37])
+    def test_chunked_rows_equal_dense_formula(self, k):
+        rng = np.random.default_rng(48)
+        cloud = make_cloud(rng, 1000)
+        idx = rng.permutation(1000)[:k]
+        per_point, mean = aad(cloud, idx)
+        expected_per_point, expected_mean = dense_aad(cloud.coords[idx])
+        np.testing.assert_array_equal(per_point, expected_per_point)
+        assert mean == expected_mean
+
 
 class TestLambdaSweep:
     def test_single_entry_is_pure_fps(self):
@@ -202,3 +260,33 @@ class TestLambdaSweep:
             num_clusters=1, points_per_cluster=10, background_points=10))
         with pytest.raises(InvalidCount):
             lambda_sweep(cloud, attention, 10, [3.0])
+
+    def test_rows_equal_per_factor_sample_and_aad(self, standard_scene):
+        cloud, attention, _ = standard_scene
+        lambdas = [1.6, 1.0, 2.0, 1.2, 1.4]
+        rows = lambda_sweep(cloud, attention, 256, lambdas, seed_index=5)
+        expected = []
+        for lam in sorted(lambdas):
+            selected = hybrid_sample(
+                cloud, attention, SamplerConfig(n=256, lam=lam, seed_index=5))
+            expected.append((lam, aad(cloud, selected)[1]))
+        assert rows == expected
+
+    def test_sweep_selections_equal_hybrid_sample(self, standard_scene):
+        cloud, attention, _ = standard_scene
+        lambdas = [2.0, 1.0, 1.3, 1.3]
+        sweep = hybrid_sweep(cloud, attention, 256, lambdas, seed_index=2)
+        assert [lam for lam, _ in sweep] == sorted(lambdas)
+        for lam, selected in sweep:
+            expected = hybrid_sample(
+                cloud, attention, SamplerConfig(n=256, lam=lam, seed_index=2))
+            np.testing.assert_array_equal(selected, expected)
+
+    @pytest.mark.parametrize("bad", [0.5, 7.0, float("nan")])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_any_invalid_factor_raises(self, standard_scene, bad, position):
+        cloud, attention, _ = standard_scene
+        lambdas = [1.0, 1.2, 1.4, 1.6]
+        lambdas.insert(position, bad)
+        with pytest.raises(InvalidCount):
+            lambda_sweep(cloud, attention, 256, lambdas)
