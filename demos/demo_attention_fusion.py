@@ -7,6 +7,9 @@ the running fused feature. The analytic backward pass is checked
 against central finite differences.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from fuse3d import (
@@ -14,9 +17,9 @@ from fuse3d import (
     PointCloud,
     aaf_backward,
     aaf_forward,
+    gather_point_image_features,
     init_params,
     load_params,
-    make_fusion_input,
     run_gradcheck,
     save_params,
 )
@@ -38,8 +41,9 @@ projection = np.hstack([np.eye(3), np.zeros((3, 1))])
 feature_map = rng.standard_normal((4, 5, 3))  # H x W x C image features
 
 c_img, c_pt, c_prev, c_out = 3, 4, 2, 5
-inp = make_fusion_input(
-    cloud, projection, feature_map,
+f_image, _ = gather_point_image_features(cloud, projection, feature_map)
+inp = AAFInput(
+    f_image,
     f_point=rng.standard_normal((6, c_pt)),
     f_fused_prev=rng.standard_normal((6, c_prev)),
 )
@@ -68,7 +72,9 @@ for group, err in report["per_group_max_relative_error"].items():
 print(f"overall: {report['max_relative_error']:.2e}")
 
 # Parameters round-trip through the binary blob format.
-save_params(params, "/tmp/fusion_params.bin")
-restored = load_params("/tmp/fusion_params.bin")
+with tempfile.TemporaryDirectory() as tmp:
+    blob = Path(tmp) / "fusion_params.bin"
+    save_params(params, blob)
+    restored = load_params(blob)
 print("\nserialization roundtrip exact:",
       bool(np.array_equal(restored.w_out, params.w_out)))

@@ -40,7 +40,6 @@ from .fusion import (
     gradcheck,
     init_params,
     load_params,
-    make_fusion_input,
     relative_error,
     run_gradcheck,
     save_params,
@@ -55,12 +54,14 @@ from .geometry import (
     flip,
     footprint_corners,
     gather_point_image_features,
+    in_image_bounds,
     intersection_area_bev,
     iou_3d,
     iou_bev,
     nms,
     points_in_box,
     project_point,
+    project_points,
     rotate_y,
     rotation_y,
     scale,
@@ -81,6 +82,7 @@ from .losses import (
     BoxTarget,
     FocalConfig,
     RegressionPrediction,
+    RegressionTerms,
     bin_cross_entropy,
     decode_bins,
     encode_bins,
@@ -88,10 +90,11 @@ from .losses import (
     focal_loss,
     iou_reg_loss,
     regression_loss,
+    regression_terms,
     smooth_l1,
     total_loss,
 )
-from .numerics import concat_cols, finite_diff_grad, linear_forward, sigmoid
+from .numerics import finite_diff_grad, sigmoid
 from .roi import PooledRoI, Proposal, roi_pooled_fusion, select_proposals
 from .sampling import (
     SamplerConfig,

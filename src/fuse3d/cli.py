@@ -35,17 +35,14 @@ from .errors import (
     TruncatedFile,
 )
 from .fusion import AAFInput, aaf_forward, init_params, run_gradcheck
-from .geometry import Box3D, iou_bev
+from .geometry import Box3D, in_image_bounds, iou_bev, project_points
 from .kitti_io import read_calib, read_point_cloud_bin, write_point_cloud_bin
 from .losses import (
     FocalConfig,
     RegressionPrediction,
-    bin_cross_entropy,
     encode_box_target,
     focal_loss,
-    iou_reg_loss,
-    regression_loss,
-    smooth_l1,
+    regression_terms,
     total_loss,
 )
 from .roi import Proposal, roi_pooled_fusion, select_proposals
@@ -186,9 +183,16 @@ def _read_attention_csv(path) -> np.ndarray:
             if row_no == 1 and row == ["index", "score"]:
                 continue
             try:
-                scores.append(float(row[-1]))
+                score = float(row[-1])
             except ValueError as exc:
                 raise ParseError(f"{path}:{row_no}: {exc}") from None
+            # phrased so that NaN, which fails every comparison, is rejected
+            if not 0.0 < score < 1.0:
+                raise ParseError(
+                    f"{path}:{row_no}: attention score {row[-1]!r} must lie "
+                    "strictly in (0, 1)"
+                )
+            scores.append(score)
     return np.asarray(scores)
 
 
@@ -261,18 +265,11 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_project(args) -> int:
     cloud = read_point_cloud_bin(args.cloud)
-    matrix = read_calib(args.calib)
-    uvd = cloud.coords @ matrix[:, :3].T + matrix[:, 3]
-    depth = uvd[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        us = np.where(depth > 0, uvd[:, 0] / depth, np.nan)
-        vs = np.where(depth > 0, uvd[:, 1] / depth, np.nan)
-    visible = depth > 0
+    us, vs, depth = project_points(cloud.coords, read_calib(args.calib))
     if args.image_width is not None and args.image_height is not None:
-        visible &= (
-            (us >= 0) & (us <= args.image_width - 1)
-            & (vs >= 0) & (vs <= args.image_height - 1)
-        )
+        visible = in_image_bounds(us, vs, args.image_width, args.image_height)
+    else:
+        visible = depth > 0
     rows = [
         [i, float(us[i]), float(vs[i]), float(depth[i]), int(visible[i])]
         for i in range(len(cloud))
@@ -374,19 +371,14 @@ def _evaluate_losses(fixture: dict, cfg: RunConfig) -> dict:
         logits_yaw=np.asarray(fixture["logits_yaw"], dtype=np.float64),
         residuals=np.asarray(fixture["pred_residuals"], dtype=np.float64),
     )
+    focal = focal_loss(float(fixture["focal_c_t"]), focal_cfg)
+    terms = regression_terms(pred, target, pred_box, gt_box, bin_cfg)
     report = {
-        "focal": focal_loss(float(fixture["focal_c_t"]), focal_cfg),
-        "cross_entropy": {
-            "x": bin_cross_entropy(pred.logits_x, target.bin_x),
-            "z": bin_cross_entropy(pred.logits_z, target.bin_z),
-            "yaw": bin_cross_entropy(pred.logits_yaw, target.bin_yaw),
-        },
-        "smooth_l1_sum": sum(
-            smooth_l1(float(pred.residuals[i]), float(target.residuals[i]))
-            for i in range(7)
-        ),
-        "iou_regularizer": iou_reg_loss(pred_box, gt_box),
-        "regression": regression_loss(pred, target, pred_box, gt_box, bin_cfg),
+        "focal": focal,
+        "cross_entropy": {"x": terms.ce_x, "z": terms.ce_z, "yaw": terms.ce_yaw},
+        "smooth_l1_sum": terms.smooth_l1_sum,
+        "iou_regularizer": terms.iou_regularizer,
+        "regression": terms.total,
         "target_bins": {
             "x": target.bin_x, "z": target.bin_z, "yaw": target.bin_yaw,
         },

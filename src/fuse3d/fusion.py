@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, TruncatedFile
-from .geometry import PointCloud, gather_point_image_features
-from .numerics import concat_cols, finite_diff_grad, linear_forward, sigmoid
+from .numerics import finite_diff_grad, sigmoid
 
 
 @dataclass
@@ -82,7 +81,12 @@ class AAFInput:
 
     def __post_init__(self):
         for name in ("f_image", "f_point", "f_fused_prev"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if value.ndim != 2:
+                raise DimensionMismatch(
+                    f"{name} must be 2-D (N, channels), got shape {value.shape}"
+                )
+            setattr(self, name, value)
         n = self.f_image.shape[0]
         if self.f_point.shape[0] != n or self.f_fused_prev.shape[0] != n:
             raise DimensionMismatch(
@@ -132,6 +136,24 @@ def _check_shapes(params: AAFParams, inp: AAFInput):
         )
 
 
+def _forward(params: AAFParams, inp: AAFInput):
+    """Shape-checked forward pass returning every intermediate.
+
+    Returns ``(cat, att_i, att_p, gated, fused)``: the image-point
+    concatenation, both (N, 1) gates, the gated concatenation with the
+    previous fused feature appended, and the output head's result.
+    """
+    _check_shapes(params, inp)
+    cat = np.concatenate([inp.f_image, inp.f_point], axis=1)
+    att_i = sigmoid(cat @ params.w_img_att + params.b_img_att)
+    att_p = sigmoid(cat @ params.w_pt_att + params.b_pt_att)
+    gated = np.concatenate(
+        [inp.f_image * att_i, inp.f_point * att_p, inp.f_fused_prev], axis=1
+    )
+    fused = gated @ params.w_out + params.b_out
+    return cat, att_i, att_p, gated, fused
+
+
 def aaf_forward(params: AAFParams, inp: AAFInput) -> AAFOutput:
     """Forward pass of one fusion block.
 
@@ -143,15 +165,7 @@ def aaf_forward(params: AAFParams, inp: AAFInput) -> AAFOutput:
     where ++ is column concatenation and the gates broadcast across the
     channels of their modality. No activation follows the output head.
     """
-    _check_shapes(params, inp)
-    cat = concat_cols(inp.f_image, inp.f_point)
-    att_i = sigmoid(linear_forward(cat, params.w_img_att, params.b_img_att))
-    att_p = sigmoid(linear_forward(cat, params.w_pt_att, params.b_pt_att))
-    gated = concat_cols(
-        concat_cols(inp.f_image * att_i, inp.f_point * att_p),
-        inp.f_fused_prev,
-    )
-    fused = linear_forward(gated, params.w_out, params.b_out)
+    _, att_i, att_p, _, fused = _forward(params, inp)
     return AAFOutput(fused, att_i[:, 0], att_p[:, 0])
 
 
@@ -164,7 +178,7 @@ def aaf_backward(
     sigmoid of each attention head, with respect to every parameter and
     every input feature. ``upstream`` must have shape (N, c_out).
     """
-    _check_shapes(params, inp)
+    cat, att_i, att_p, gated, _ = _forward(params, inp)
     up = np.asarray(upstream, dtype=np.float64)
     n = inp.f_image.shape[0]
     if up.shape != (n, params.c_out):
@@ -172,13 +186,6 @@ def aaf_backward(
             f"upstream has shape {up.shape}, expected ({n}, {params.c_out})"
         )
     ci, cp = params.c_img, params.c_pt
-    cat = concat_cols(inp.f_image, inp.f_point)
-    att_i = sigmoid(linear_forward(cat, params.w_img_att, params.b_img_att))
-    att_p = sigmoid(linear_forward(cat, params.w_pt_att, params.b_pt_att))
-    gated = concat_cols(
-        concat_cols(inp.f_image * att_i, inp.f_point * att_p),
-        inp.f_fused_prev,
-    )
 
     d_gated = up @ params.w_out.T
     d_w_out = gated.T @ up
@@ -214,26 +221,6 @@ def aaf_backward(
         f_point=d_f_point,
         f_fused_prev=d_f_fused_prev,
     )
-
-
-def make_fusion_input(
-    cloud: PointCloud, projection, image_feature_map, f_point, f_fused_prev
-) -> AAFInput:
-    """Assemble a block input by gathering per-point image features.
-
-    Invisible points contribute all-zero image rows; the point and
-    previous-fused features pass through unchanged.
-    """
-    f_image, _ = gather_point_image_features(cloud, projection, image_feature_map)
-    f_point = np.asarray(f_point, dtype=np.float64)
-    f_fused_prev = np.asarray(f_fused_prev, dtype=np.float64)
-    n = len(cloud)
-    if f_point.shape[0] != n or f_fused_prev.shape[0] != n:
-        raise DimensionMismatch(
-            f"per-point arrays must have {n} rows, got "
-            f"{f_point.shape[0]} and {f_fused_prev.shape[0]}"
-        )
-    return AAFInput(f_image, f_point, f_fused_prev)
 
 
 def init_params(

@@ -104,20 +104,38 @@ def _as_projection(m) -> np.ndarray:
     return out
 
 
-def project_point(point, projection) -> tuple[float, float, float]:
-    """Project one point through a 3x4 homogeneous projection matrix.
+def project_points(coords, projection) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project (N, 3) points through a 3x4 homogeneous projection matrix.
 
     Parameters
     ----------
-    point : (3,) array
-        Point in the cloud frame, meters.
+    coords : (N, 3) array
+        Points in the cloud frame, meters.
     projection : (3, 4) array
         Composed camera matrix (intrinsics times extrinsics).
 
     Returns
     -------
-    (u, v, depth) after the perspective divide; u and v are pixel
-    coordinates, depth is in meters.
+    u, v : (N,) ndarray
+        Pixel coordinates after the perspective divide; NaN where the
+        point lies at or behind the camera (depth <= 0).
+    depth : (N,) ndarray
+        Projected depth in meters.
+    """
+    m = _as_projection(projection)
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.ndim != 2 or coords.shape[1] != 3:
+        raise DimensionMismatch(f"coords must be (N, 3), got {coords.shape}")
+    uvd = coords @ m[:, :3].T + m[:, 3]
+    depth = uvd[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        us = np.where(depth > 0, uvd[:, 0] / depth, np.nan)
+        vs = np.where(depth > 0, uvd[:, 1] / depth, np.nan)
+    return us, vs, depth
+
+
+def project_point(point, projection) -> tuple[float, float, float]:
+    """Project one point; :func:`project_points` on a single row.
 
     Raises
     ------
@@ -125,13 +143,12 @@ def project_point(point, projection) -> tuple[float, float, float]:
         When the projected depth is <= 0; such points are invisible and
         the caller must drop them.
     """
-    m = _as_projection(projection)
-    p = np.asarray(point, dtype=np.float64).reshape(3)
-    uvd = m[:, :3] @ p + m[:, 3]
-    depth = float(uvd[2])
+    p = np.asarray(point, dtype=np.float64).reshape(1, 3)
+    us, vs, depths = project_points(p, projection)
+    depth = float(depths[0])
     if depth <= 0.0:
-        raise BehindCamera(f"point {p.tolist()} projects to depth {depth}")
-    return float(uvd[0] / depth), float(uvd[1] / depth), depth
+        raise BehindCamera(f"point {p[0].tolist()} projects to depth {depth}")
+    return float(us[0]), float(vs[0]), depth
 
 
 def back_project(u: float, v: float, depth: float, projection) -> np.ndarray:
@@ -145,25 +162,44 @@ def back_project(u: float, v: float, depth: float, projection) -> np.ndarray:
     return np.linalg.solve(m[:, :3], rhs)
 
 
-def bilinear_sample(feature_map, u: float, v: float) -> np.ndarray:
+def in_image_bounds(us, vs, width, height) -> np.ndarray:
+    """Mask of pixel coordinates inside [0, width-1] x [0, height-1].
+
+    NaN coordinates (points behind the camera) are outside.
+    """
+    return (us >= 0) & (us <= width - 1) & (vs >= 0) & (vs <= height - 1)
+
+
+def bilinear_sample(feature_map, us, vs) -> np.ndarray:
     """Sample an (H, W, C) feature map at fractional pixel coordinates.
 
-    Pixel centers sit at integer coordinates. Coordinates outside
-    [0, W-1] x [0, H-1] return the all-zero vector, mirroring the
-    convention that invisible points contribute no image feature.
+    ``us`` and ``vs`` broadcast against each other; the result has their
+    shape plus a trailing C axis, so scalar coordinates give one (C,)
+    row. Pixel centers sit at integer coordinates. Coordinates outside
+    [0, W-1] x [0, H-1], and NaN coordinates, give all-zero rows,
+    mirroring the convention that invisible points contribute no image
+    feature.
     """
     fmap = np.asarray(feature_map, dtype=np.float64)
     if fmap.ndim != 3:
         raise DimensionMismatch(f"feature map must be (H, W, C), got {fmap.shape}")
     h, w, c = fmap.shape
-    if not (0.0 <= u <= w - 1 and 0.0 <= v <= h - 1):
-        return np.zeros(c)
-    u0, v0 = int(np.floor(u)), int(np.floor(v))
-    u1, v1 = min(u0 + 1, w - 1), min(v0 + 1, h - 1)
-    du, dv = u - u0, v - v0
-    top = (1.0 - du) * fmap[v0, u0] + du * fmap[v0, u1]
-    bottom = (1.0 - du) * fmap[v1, u0] + du * fmap[v1, u1]
-    return (1.0 - dv) * top + dv * bottom
+    us, vs = np.broadcast_arrays(np.asarray(us, dtype=np.float64),
+                                 np.asarray(vs, dtype=np.float64))
+    out = np.zeros(us.shape + (c,))
+    inside = in_image_bounds(us, vs, w, h)
+    if inside.any():
+        us, vs = us[inside], vs[inside]
+        u0 = np.floor(us).astype(np.intp)
+        v0 = np.floor(vs).astype(np.intp)
+        u1 = np.minimum(u0 + 1, w - 1)
+        v1 = np.minimum(v0 + 1, h - 1)
+        du = (us - u0)[:, None]
+        dv = (vs - v0)[:, None]
+        top = (1.0 - du) * fmap[v0, u0] + du * fmap[v0, u1]
+        bottom = (1.0 - du) * fmap[v1, u0] + du * fmap[v1, u1]
+        out[inside] = (1.0 - dv) * top + dv * bottom
+    return out
 
 
 def gather_point_image_features(
@@ -180,31 +216,10 @@ def gather_point_image_features(
     features : (N, C) ndarray
     visible : (N,) bool ndarray
     """
-    m = _as_projection(projection)
-    fmap = np.asarray(feature_map, dtype=np.float64)
-    if fmap.ndim != 3:
-        raise DimensionMismatch(f"feature map must be (H, W, C), got {fmap.shape}")
-    h, w, c = fmap.shape
-    n = len(cloud)
-    features = np.zeros((n, c))
-    uvd = cloud.coords @ m[:, :3].T + m[:, 3]
-    depth = uvd[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        us = uvd[:, 0] / depth
-        vs = uvd[:, 1] / depth
-    visible = (depth > 0) & (us >= 0) & (us <= w - 1) & (vs >= 0) & (vs <= h - 1)
-    if visible.any():
-        us, vs = us[visible], vs[visible]
-        u0 = np.floor(us).astype(np.intp)
-        v0 = np.floor(vs).astype(np.intp)
-        u1 = np.minimum(u0 + 1, w - 1)
-        v1 = np.minimum(v0 + 1, h - 1)
-        du = (us - u0)[:, None]
-        dv = (vs - v0)[:, None]
-        top = (1.0 - du) * fmap[v0, u0] + du * fmap[v0, u1]
-        bottom = (1.0 - du) * fmap[v1, u0] + du * fmap[v1, u1]
-        features[visible] = (1.0 - dv) * top + dv * bottom
-    return features, visible
+    us, vs, _ = project_points(cloud.coords, projection)
+    features = bilinear_sample(feature_map, us, vs)
+    h, w = np.shape(feature_map)[:2]
+    return features, in_image_bounds(us, vs, w, h)
 
 
 def footprint_corners(box: Box3D) -> np.ndarray:
@@ -319,6 +334,8 @@ def nms(boxes, scores, iou_threshold: float) -> list[int]:
         )
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+    if not np.isfinite(np.asarray(scores, dtype=np.float64)).all():
+        raise ValueError("scores must be finite")
     order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
     suppressed = [False] * len(boxes)
     kept: list[int] = []

@@ -30,7 +30,10 @@ def read_point_cloud_bin(path) -> PointCloud:
             f"{path}: {len(data)} bytes is not a multiple of {_RECORD_BYTES}"
         )
     records = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(np.float64)
-    return PointCloud(records[:, :3], records[:, 3])
+    try:
+        return PointCloud(records[:, :3], records[:, 3])
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def write_point_cloud_bin(cloud: PointCloud, path) -> None:
@@ -85,6 +88,8 @@ def read_calib_components(path) -> CalibData:
             values = [float(v) for v in rest.split()]
         except ValueError as exc:
             raise ParseError(f"{path}:{line_no}: {exc}") from None
+        if not np.isfinite(values).all():
+            raise ParseError(f"{path}:{line_no}: {key} values must be finite")
         if len(values) != _CALIB_KEYS[key]:
             raise ParseError(
                 f"{path}:{line_no}: {key} needs {_CALIB_KEYS[key]} values, "

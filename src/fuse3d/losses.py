@@ -209,18 +209,35 @@ def encode_box_target(gt: Box3D, anchor: Box3D, cfg: BinConfig = BinConfig()) ->
     return BoxTarget(bin_x, bin_z, bin_yaw, residuals)
 
 
-def regression_loss(
+@dataclass(frozen=True)
+class RegressionTerms:
+    """Per-term breakdown of the regression objective for one box."""
+
+    ce_x: float
+    ce_z: float
+    ce_yaw: float
+    smooth_l1_sum: float
+    iou_regularizer: float
+
+    @property
+    def total(self) -> float:
+        """The regression objective: the terms summed in a fixed order."""
+        return float((self.ce_x + self.ce_z + self.ce_yaw)
+                     + self.smooth_l1_sum + self.iou_regularizer)
+
+
+def regression_terms(
     pred: RegressionPrediction,
     target: BoxTarget,
     pred_box: Box3D,
     gt_box: Box3D,
     cfg: BinConfig = BinConfig(),
-) -> float:
-    """Full regression objective for one box.
+) -> RegressionTerms:
+    """Every term of the regression objective for one box.
 
-    Sum of the bin cross-entropy terms for x, z, and yaw, smooth-L1 on
-    all seven residuals, and the BEV-overlap log regularizer on the
-    decoded boxes.
+    The bin cross-entropy for x, z, and yaw, smooth-L1 summed over all
+    seven residuals, and the BEV-overlap log regularizer on the decoded
+    boxes.
     """
     for logits, spec, name in (
         (pred.logits_x, cfg.x, "x"),
@@ -232,16 +249,30 @@ def regression_loss(
                 f"logits_{name} has shape {logits.shape}, expected "
                 f"({spec.num_bins},)"
             )
-    ce = (
-        bin_cross_entropy(pred.logits_x, target.bin_x)
-        + bin_cross_entropy(pred.logits_z, target.bin_z)
-        + bin_cross_entropy(pred.logits_yaw, target.bin_yaw)
+    return RegressionTerms(
+        ce_x=bin_cross_entropy(pred.logits_x, target.bin_x),
+        ce_z=bin_cross_entropy(pred.logits_z, target.bin_z),
+        ce_yaw=bin_cross_entropy(pred.logits_yaw, target.bin_yaw),
+        smooth_l1_sum=sum(
+            smooth_l1(float(pred.residuals[i]), float(target.residuals[i]))
+            for i in range(7)
+        ),
+        iou_regularizer=iou_reg_loss(pred_box, gt_box),
     )
-    sl1 = sum(
-        smooth_l1(float(pred.residuals[i]), float(target.residuals[i]))
-        for i in range(7)
-    )
-    return ce + sl1 + iou_reg_loss(pred_box, gt_box)
+
+
+def regression_loss(
+    pred: RegressionPrediction,
+    target: BoxTarget,
+    pred_box: Box3D,
+    gt_box: Box3D,
+    cfg: BinConfig = BinConfig(),
+) -> float:
+    """Full regression objective for one box.
+
+    The total of :func:`regression_terms`, as a float.
+    """
+    return regression_terms(pred, target, pred_box, gt_box, cfg).total
 
 
 def total_loss(

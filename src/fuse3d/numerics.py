@@ -10,54 +10,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch
-
-
-def _as_matrix(a, name: str) -> np.ndarray:
-    out = np.asarray(a, dtype=np.float64)
-    if out.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-D, got shape {out.shape}")
-    return out
-
-
-def _as_vector(a, name: str) -> np.ndarray:
-    out = np.asarray(a, dtype=np.float64)
-    if out.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-D, got shape {out.shape}")
-    return out
-
-
-def linear_forward(x, weights, bias) -> np.ndarray:
-    """Shared per-row affine map ``x @ weights + bias``.
-
-    Applies the same linear layer to every row of ``x``, which is how a
-    1x1 convolution acts on per-point feature vectors.
-
-    Parameters
-    ----------
-    x : (N, C_in) array
-        One feature row per point.
-    weights : (C_in, C_out) array
-    bias : (C_out,) array
-
-    Returns
-    -------
-    (N, C_out) ndarray
-    """
-    x = _as_matrix(x, "x")
-    weights = _as_matrix(weights, "weights")
-    bias = _as_vector(bias, "bias")
-    if x.shape[1] != weights.shape[0]:
-        raise DimensionMismatch(
-            f"x has {x.shape[1]} columns but weights has {weights.shape[0]} rows"
-        )
-    if bias.shape[0] != weights.shape[1]:
-        raise DimensionMismatch(
-            f"bias has length {bias.shape[0]} but weights has "
-            f"{weights.shape[1]} columns"
-        )
-    return x @ weights + bias
-
 
 # Clamp bounds keeping sigmoid outputs strictly inside (0, 1): without
 # them float64 rounds to exactly 0.0 / 1.0 once |x| exceeds ~36.
@@ -76,17 +28,6 @@ def sigmoid(x) -> np.ndarray:
     e = np.exp(-np.abs(x))
     out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
-
-
-def concat_cols(a, b) -> np.ndarray:
-    """Concatenate two matrices column-wise, keeping rows aligned."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(
-            f"row counts differ: {a.shape[0]} vs {b.shape[0]}"
-        )
-    return np.concatenate([a, b], axis=1)
 
 
 def finite_diff_grad(

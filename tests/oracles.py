@@ -6,8 +6,9 @@ from scratch every round, the row-wise one reduces (N, 3) rows where the
 library updates coordinate columns in place, the AAD oracle builds the
 whole distance matrix where the library works in row chunks, box
 containment goes through corner/edge projections instead of frame
-derotation, and the overlap oracles count Monte-Carlo samples instead
-of clipping polygons.
+derotation, the overlap oracles count Monte-Carlo samples instead of
+clipping polygons, and the image-feature oracle projects and
+interpolates one point at a time with plain floats.
 """
 
 from __future__ import annotations
@@ -51,6 +52,30 @@ def dense_aad(coords: np.ndarray) -> tuple[np.ndarray, float]:
     np.fill_diagonal(d2, np.inf)
     per_point = np.partition(d2, 2, axis=1)[:, :3].mean(axis=1)
     return per_point, float(per_point.mean())
+
+
+def scalar_image_feature(fmap: np.ndarray, projection: np.ndarray, point) -> np.ndarray:
+    """Project one point and blend its four neighboring pixels.
+
+    Points at or behind the camera, or outside [0, W-1] x [0, H-1],
+    give the all-zero vector.
+    """
+    h, w, c = fmap.shape
+    x, y, z = (float(t) for t in point)
+    row = [float(projection[k, 0]) * x + float(projection[k, 1]) * y
+           + float(projection[k, 2]) * z + float(projection[k, 3])
+           for k in range(3)]
+    if row[2] <= 0.0:
+        return np.zeros(c)
+    u, v = row[0] / row[2], row[1] / row[2]
+    if not (0.0 <= u <= w - 1 and 0.0 <= v <= h - 1):
+        return np.zeros(c)
+    u0, v0 = int(np.floor(u)), int(np.floor(v))
+    u1, v1 = min(u0 + 1, w - 1), min(v0 + 1, h - 1)
+    du, dv = u - u0, v - v0
+    top = (1.0 - du) * fmap[v0, u0] + du * fmap[v0, u1]
+    bottom = (1.0 - du) * fmap[v1, u0] + du * fmap[v1, u1]
+    return (1.0 - dv) * top + dv * bottom
 
 
 def brute_nms(boxes, scores, threshold: float, iou_fn) -> list[int]:

@@ -99,6 +99,27 @@ class TestSampleStudy:
         assert main(["sample-study", "--cloud", str(scene_dir / "cloud.bin"),
                      "--attention", str(att), "--n", "8"]) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "1.5", "0.0"])
+    def test_bad_attention_score_is_data_error(self, tmp_path, capsys, bad):
+        scene_dir = tmp_path / "scene"
+        main(["gen-scene", "--outdir", str(scene_dir)])
+        att = scene_dir / "attention.csv"
+        lines = att.read_text().splitlines()
+        lines[3] = f"2,{bad}"
+        att.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["sample-study", "--cloud", str(scene_dir / "cloud.bin"),
+                     "--attention", str(att), "--n", "8"]) == 2
+        assert f"{att}:4:" in capsys.readouterr().err
+
+    def test_nonfinite_cloud_is_data_error(self, tmp_path, capsys):
+        cloud_path = tmp_path / "cloud.bin"
+        cloud_path.write_bytes(struct.pack("<4f", 1.0, float("nan"), 4.0, 0.0)
+                               + struct.pack("<4f", 1.0, 2.0, 3.0, 0.0))
+        assert main(["sample-study", "--cloud", str(cloud_path),
+                     "--n", "1", "--lambdas", "1.0"]) == 2
+        assert str(cloud_path) in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_report_and_reproducibility(self, tmp_path):
@@ -153,6 +174,23 @@ class TestProject:
         calib_path = tmp_path / "calib.txt"
         calib_path.write_text(IDENTITY_CALIB)
         assert main(["project", "--cloud", str(tmp_path / "nope.bin"),
+                     "--calib", str(calib_path)]) == 2
+
+    def test_nonfinite_cloud_is_data_error(self, tmp_path, capsys):
+        cloud_path = tmp_path / "cloud.bin"
+        cloud_path.write_bytes(struct.pack("<4f", float("inf"), 0.0, 1.0, 0.0))
+        calib_path = tmp_path / "calib.txt"
+        calib_path.write_text(IDENTITY_CALIB)
+        assert main(["project", "--cloud", str(cloud_path),
+                     "--calib", str(calib_path)]) == 2
+        assert str(cloud_path) in capsys.readouterr().err
+
+    def test_nonfinite_calib_is_data_error(self, tmp_path):
+        cloud_path = tmp_path / "cloud.bin"
+        cloud_path.write_bytes(struct.pack("<4f", 1.0, 2.0, 4.0, 0.0))
+        calib_path = tmp_path / "calib.txt"
+        calib_path.write_text(IDENTITY_CALIB.replace("P2: 1", "P2: nan"))
+        assert main(["project", "--cloud", str(cloud_path),
                      "--calib", str(calib_path)]) == 2
 
     def test_truncated_cloud_is_data_error(self, tmp_path):

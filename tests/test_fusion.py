@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,20 +9,16 @@ from fuse3d import (
     AAFParams,
     DimensionMismatch,
     ParseError,
-    PointCloud,
     TruncatedFile,
     aaf_backward,
     aaf_forward,
     gradcheck,
     init_params,
     load_params,
-    make_fusion_input,
     relative_error,
     run_gradcheck,
     save_params,
 )
-
-IDENTITY_M = np.hstack([np.eye(3), np.zeros((3, 1))])
 
 
 def zero_params(c_img, c_pt, c_prev, c_out):
@@ -155,6 +152,22 @@ class TestForward:
         with pytest.raises(DimensionMismatch):
             AAFInput(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((3, 1)))
 
+    def test_params_shapes_checked(self):
+        good = zero_params(2, 1, 1, 3)
+        for name, bad in (("w_img_att", np.zeros((2, 1))),
+                          ("b_pt_att", np.zeros(2)),
+                          ("w_out", np.zeros((2, 3))),
+                          ("b_out", np.zeros(2))):
+            with pytest.raises(DimensionMismatch):
+                replace(good, **{name: bad})
+
+    def test_feature_arrays_must_be_2d(self):
+        for shapes in (((3,), (3, 2), (3, 1)),
+                       ((3, 2), (3, 2, 1), (3, 1)),
+                       ((3, 2), (3, 2), ())):
+            with pytest.raises(DimensionMismatch):
+                AAFInput(*(np.zeros(shape) for shape in shapes))
+
 
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
@@ -195,33 +208,6 @@ class TestBackward:
             "b_out", "f_image", "f_point", "f_fused_prev",
         }
         assert report["max_relative_error"] < 1e-5
-
-
-class TestMakeFusionInput:
-    def test_all_invisible_points_give_zero_image_rows(self):
-        cloud = PointCloud(np.array([[0.0, 0, -1], [0.5, 0.5, -2]]))
-        fmap = np.ones((4, 4, 3))
-        f_pt = np.arange(4.0).reshape(2, 2)
-        f_prev = np.arange(2.0).reshape(2, 1)
-        inp = make_fusion_input(cloud, IDENTITY_M, fmap, f_pt, f_prev)
-        np.testing.assert_array_equal(inp.f_image, np.zeros((2, 3)))
-        np.testing.assert_array_equal(inp.f_point, f_pt)
-        np.testing.assert_array_equal(inp.f_fused_prev, f_prev)
-
-    def test_identity_projection_samples_pixels(self):
-        cloud = PointCloud(np.array([[1.0, 2.0, 1.0], [3.0, 0.0, 1.0]]))
-        rng = np.random.default_rng(59)
-        fmap = rng.standard_normal((4, 5, 2))
-        inp = make_fusion_input(cloud, IDENTITY_M, fmap,
-                                np.zeros((2, 1)), np.zeros((2, 1)))
-        np.testing.assert_allclose(inp.f_image[0], fmap[2, 1], atol=1e-12)
-        np.testing.assert_allclose(inp.f_image[1], fmap[0, 3], atol=1e-12)
-
-    def test_row_count_mismatch_raises(self):
-        cloud = PointCloud(np.zeros((2, 3)))
-        with pytest.raises(DimensionMismatch):
-            make_fusion_input(cloud, IDENTITY_M, np.ones((2, 2, 1)),
-                              np.zeros((3, 1)), np.zeros((2, 1)))
 
 
 class TestSerialization:

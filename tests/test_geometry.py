@@ -17,6 +17,7 @@ from fuse3d import (
     nms,
     points_in_box,
     project_point,
+    project_points,
     rotate_y,
     scale,
     wrap_angle,
@@ -27,6 +28,7 @@ from oracles import (
     mc_iou_bev,
     points_in_box_oracle,
     random_box,
+    scalar_image_feature,
 )
 
 IDENTITY_M = np.hstack([np.eye(3), np.zeros((3, 1))])
@@ -78,6 +80,25 @@ class TestProjection:
         m = np.array([[2.0, 0, 3, 0], [0, 2.0, 3, 0], [0, 0, 1.0, 0]])
         assert project_point((1.0, 1.0, 2.0), m) == (4.0, 4.0, 2.0)
 
+    def test_vectorised_matches_one_row_calls(self):
+        rng = np.random.default_rng(16)
+        m = np.array([[700.0, 0, 620, 4.0], [0, 700.0, 190, -2.0],
+                      [0.01, 0, 1.0, 0.3]])
+        coords = rng.uniform([-10, -10, -5], [10, 10, 40], size=(64, 3))
+        us, vs, depth = project_points(coords, m)
+        assert (depth <= 0).any() and (depth > 0).any()
+        for i, p in enumerate(coords):
+            if depth[i] <= 0:
+                assert np.isnan(us[i]) and np.isnan(vs[i])
+                with pytest.raises(BehindCamera):
+                    project_point(p, m)
+            else:
+                assert project_point(p, m) == (us[i], vs[i], depth[i])
+
+    def test_points_shape_checked(self):
+        with pytest.raises(DimensionMismatch):
+            project_points(np.zeros((4, 2)), IDENTITY_M)
+
     def test_back_projection_roundtrip(self):
         rng = np.random.default_rng(10)
         k = np.array([[700.0, 0, 620], [0, 700.0, 190], [0, 0, 1]])
@@ -105,10 +126,23 @@ class TestBilinearSample:
                                       np.zeros(4))
         np.testing.assert_array_equal(bilinear_sample(self.fmap, 2.001, 0.0),
                                       np.zeros(4))
+        np.testing.assert_array_equal(bilinear_sample(self.fmap, np.nan, 0.0),
+                                      np.zeros(4))
+        np.testing.assert_array_equal(bilinear_sample(self.fmap, 1.0, np.nan),
+                                      np.zeros(4))
 
     def test_far_edge_is_in_bounds(self):
         np.testing.assert_array_equal(bilinear_sample(self.fmap, 2.0, 1.0),
                                       self.fmap[1, 2])
+
+    def test_arrays_give_one_row_per_coordinate(self):
+        us = np.array([1.0, 0.5, np.nan, 2.001, 2.0])
+        vs = np.array([1.0, 0.0, 0.0, 0.0, 1.0])
+        out = bilinear_sample(self.fmap, us, vs)
+        assert out.shape == (5, 4)
+        for i in range(5):
+            np.testing.assert_array_equal(
+                out[i], bilinear_sample(self.fmap, us[i], vs[i]))
 
 
 class TestGatherPointImageFeatures:
@@ -138,13 +172,7 @@ class TestGatherPointImageFeatures:
         cloud = PointCloud(coords)
         m = np.array([[2.0, 0, 3, 0], [0, 2.0, 2, 0], [0, 0, 1.0, 0]])
         feats, visible = gather_point_image_features(cloud, m, fmap)
-        expected = np.zeros((3, 3))
-        for i, p in enumerate(coords):
-            try:
-                u, v, _ = project_point(p, m)
-            except BehindCamera:
-                continue
-            expected[i] = bilinear_sample(fmap, u, v)
+        expected = np.array([scalar_image_feature(fmap, m, p) for p in coords])
         np.testing.assert_allclose(feats, expected, atol=1e-12)
         np.testing.assert_array_equal(visible, [True, False, False])
 
@@ -210,6 +238,12 @@ class TestNms:
     def test_disjoint_kept_in_score_order(self):
         boxes = [unit_box(), unit_box(cx=10.0)]
         assert nms(boxes, [0.2, 0.7], 0.8) == [1, 0]
+
+    def test_nonfinite_scores_rejected(self):
+        boxes = [unit_box(), unit_box(cx=10.0)]
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                nms(boxes, [bad, 0.5], 0.8)
 
     def test_score_tie_prefers_lower_index(self):
         boxes = [unit_box(), unit_box()]

@@ -49,6 +49,12 @@ class TestPointCloudBin:
         with pytest.raises(OSError):
             read_point_cloud_bin(tmp_path / "nope.bin")
 
+    def test_nonfinite_coordinates_rejected(self, tmp_path):
+        path = tmp_path / "c.bin"
+        path.write_bytes(struct.pack("<4f", 1.0, float("nan"), 3.0, 0.0))
+        with pytest.raises(ParseError, match="c.bin"):
+            read_point_cloud_bin(path)
+
     def test_write_read_byte_identical(self, tmp_path):
         rng = np.random.default_rng(90)
         cloud = PointCloud(
@@ -87,6 +93,12 @@ class TestCalib:
         path = tmp_path / "calib.txt"
         path.write_text(IDENTITY_CALIB.replace("R0_rect: 1", "R0_rect: x"))
         with pytest.raises(ParseError):
+            read_calib(path)
+
+    def test_nonfinite_value(self, tmp_path):
+        path = tmp_path / "calib.txt"
+        path.write_text(IDENTITY_CALIB.replace("R0_rect: 1", "R0_rect: inf"))
+        with pytest.raises(ParseError, match=r"calib\.txt:2"):
             read_calib(path)
 
     def test_wrong_value_count(self, tmp_path):

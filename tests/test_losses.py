@@ -12,6 +12,7 @@ from fuse3d import (
     FocalConfig,
     OutOfRange,
     RegressionPrediction,
+    RegressionTerms,
     bin_cross_entropy,
     decode_bins,
     encode_bins,
@@ -19,6 +20,7 @@ from fuse3d import (
     focal_loss,
     iou_reg_loss,
     regression_loss,
+    regression_terms,
     smooth_l1,
     total_loss,
     wrap_angle,
@@ -244,6 +246,34 @@ class TestRegressionLoss:
         )
         got = regression_loss(pred, target, pred_box, gt, self.cfg)
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_breakdown_holds_each_standalone_term(self):
+        rng = np.random.default_rng(75)
+        gt = box(cx=0.8, cz=-0.3, yaw=0.5)
+        anchor = box()
+        pred_box = box(cx=0.6, cz=-0.2, yaw=0.4)
+        target = encode_box_target(gt, anchor, self.cfg)
+        pred = RegressionPrediction(
+            logits_x=rng.normal(size=12),
+            logits_z=rng.normal(size=12),
+            logits_yaw=rng.normal(size=12),
+            residuals=rng.normal(size=7),
+        )
+        terms = regression_terms(pred, target, pred_box, gt, self.cfg)
+        assert terms == RegressionTerms(
+            ce_x=bin_cross_entropy(pred.logits_x, target.bin_x),
+            ce_z=bin_cross_entropy(pred.logits_z, target.bin_z),
+            ce_yaw=bin_cross_entropy(pred.logits_yaw, target.bin_yaw),
+            smooth_l1_sum=sum(
+                smooth_l1(float(pred.residuals[i]), float(target.residuals[i]))
+                for i in range(7)),
+            iou_regularizer=iou_reg_loss(pred_box, gt),
+        )
+        # the objective is the breakdown's sum, in the same order
+        assert regression_loss(pred, target, pred_box, gt, self.cfg) == (
+            (terms.ce_x + terms.ce_z + terms.ce_yaw)
+            + terms.smooth_l1_sum + terms.iou_regularizer)
+        assert isinstance(terms.total, float)
 
     def test_termwise_monotonicity(self):
         gt = box(cx=1.3, cz=-0.7, yaw=0.4)

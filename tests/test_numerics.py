@@ -1,46 +1,7 @@
 import numpy as np
 import pytest
 
-from fuse3d import (
-    DimensionMismatch,
-    concat_cols,
-    finite_diff_grad,
-    linear_forward,
-    sigmoid,
-)
-
-
-class TestLinearForward:
-    def test_identity_map(self):
-        out = linear_forward([[1.0, 2.0]], [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
-        np.testing.assert_array_equal(out, [[1.0, 2.0]])
-
-    def test_hand_multiply_accumulate(self):
-        # 1*2 + 1*3 + 1 = 6
-        out = linear_forward([[1.0, 1.0]], [[2.0], [3.0]], [1.0])
-        np.testing.assert_array_equal(out, [[6.0]])
-
-    def test_empty_contraction_yields_bias(self):
-        out = linear_forward(np.empty((1, 0)), np.empty((0, 1)), [5.0])
-        np.testing.assert_array_equal(out, [[5.0]])
-
-    def test_bias_mismatch_raises(self):
-        with pytest.raises(DimensionMismatch):
-            linear_forward(np.empty((1, 0)), np.empty((0, 1)), [1.0, 2.0])
-
-    def test_inner_dim_mismatch_raises(self):
-        with pytest.raises(DimensionMismatch):
-            linear_forward([[1.0, 2.0]], [[1.0]], [0.0])
-
-    def test_additive_in_x_up_to_one_bias(self):
-        rng = np.random.default_rng(0)
-        x1 = rng.standard_normal((5, 4))
-        x2 = rng.standard_normal((5, 4))
-        w = rng.standard_normal((4, 3))
-        b = rng.standard_normal(3)
-        lhs = linear_forward(x1 + x2, w, b) + b
-        rhs = linear_forward(x1, w, b) + linear_forward(x2, w, b)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+from fuse3d import finite_diff_grad, sigmoid
 
 
 class TestSigmoid:
@@ -67,31 +28,6 @@ class TestSigmoid:
     def test_monotone(self):
         x = np.linspace(-20, 20, 2001)
         assert np.all(np.diff(sigmoid(x)) > 0)
-
-
-class TestConcatCols:
-    def test_single_columns(self):
-        np.testing.assert_array_equal(concat_cols([[1.0]], [[2.0]]), [[1.0, 2.0]])
-
-    def test_empty_is_neutral(self):
-        a = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(concat_cols(a, np.empty((2, 0))), a)
-
-    def test_index_bookkeeping(self):
-        out = concat_cols([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-        np.testing.assert_array_equal(out, [[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]])
-
-    def test_row_mismatch_raises(self):
-        with pytest.raises(DimensionMismatch):
-            concat_cols(np.zeros((2, 1)), np.zeros((3, 1)))
-
-    def test_slicing_recovers_operands(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((4, 3))
-        b = rng.standard_normal((4, 2))
-        out = concat_cols(a, b)
-        np.testing.assert_array_equal(out[:, :3], a)
-        np.testing.assert_array_equal(out[:, 3:], b)
 
 
 class TestFiniteDiffGrad:
