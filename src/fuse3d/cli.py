@@ -221,6 +221,8 @@ def cmd_gen_scene(args) -> int:
 def _study_inputs(args):
     if args.cloud:
         cloud = read_point_cloud_bin(args.cloud)
+        if len(cloud) == 0:
+            raise ParseError(f"{args.cloud}: the cloud holds no points")
         if args.attention:
             attention = _read_attention_csv(args.attention)
             if attention.shape != (len(cloud),):
@@ -264,9 +266,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_project(args) -> int:
+    if (args.image_width is None) != (args.image_height is None):
+        raise _UsageError("--image-width and --image-height go together")
     cloud = read_point_cloud_bin(args.cloud)
     us, vs, depth = project_points(cloud.coords, read_calib(args.calib))
-    if args.image_width is not None and args.image_height is not None:
+    if args.image_width is not None:
         visible = in_image_bounds(us, vs, args.image_width, args.image_height)
     else:
         visible = depth > 0

@@ -8,15 +8,26 @@ so bird's-eye-view (BEV) footprints live in the x-z plane.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BehindCamera, DimensionMismatch
 
-# Intersection areas below this are treated as zero; resolves polygon
-# clipping degeneracies (shared edges, touching corners).
-_AREA_EPS = 1e-9
+# An overlap at most this share of the smaller footprint counts as
+# zero: clipping touching pairs (shared edges and corners) leaves
+# rounding noise. Relative, so tiny boxes keep their overlap.
+_AREA_REL_EPS = 1e-9
+# Corners this close to the other footprint's boundary, relative to the
+# pair's squared extent, count as on it.
+_INSIDE_REL_TOL = 1e-12
+# Footprint corners at local (+-length/2, +-width/2), counter-clockwise.
+_CORNER_X = np.array([[1.0], [-1.0], [-1.0], [1.0]])
+_CORNER_Z = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+# Index of the next vertex around a quad and around the 24 candidates.
+_NEXT = np.array([1, 2, 3, 0])
+_NEXT24 = np.roll(np.arange(24), -1)
 
 
 def wrap_angle(theta: float) -> float:
@@ -222,77 +233,124 @@ def gather_point_image_features(
     return features, in_image_bounds(us, vs, w, h)
 
 
+def _circumradius(box: Box3D) -> float:
+    return 0.5 * math.hypot(box.length, box.width)
+
+
+def _apart(dx, dz, ra, rb):
+    """Circumradius gate: True where two footprints cannot overlap.
+
+    Elementwise, so a pair given as floats and the same pair inside
+    arrays get the same decision.
+    """
+    r = ra + rb
+    return dx * dx + dz * dz > r * r
+
+
+def _footprints(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """BEV footprints of a sequence of boxes, as arrays.
+
+    Returns centers (N, 2), counter-clockwise corners (N, 4, 2), areas
+    (N,) and circumradii (N,). Each row comes from elementwise
+    arithmetic on its own box, so a box gets the same bits in any batch.
+    """
+    rows = np.array(
+        [(b.center[0], b.center[2], 0.5 * b.length, 0.5 * b.width,
+          math.cos(b.yaw), -math.sin(b.yaw), math.sin(b.yaw), math.cos(b.yaw),
+          b.length * b.width, _circumradius(b)) for b in boxes],
+        dtype=np.float64,
+    ).reshape(-1, 10)
+    # corner = center + lx * (cos, -sin) + lz * (sin, cos), with the
+    # local offsets (lx, lz) = (+-length/2, +-width/2)
+    lx = rows[:, None, 2:3] * _CORNER_X
+    lz = rows[:, None, 3:4] * _CORNER_Z
+    corners = rows[:, None, 0:2] + (lx * rows[:, None, 4:6] + lz * rows[:, None, 6:8])
+    return rows[:, 0:2], corners, rows[:, 8], rows[:, 9]
+
+
 def footprint_corners(box: Box3D) -> np.ndarray:
     """BEV footprint corners in the x-z plane, counter-clockwise, (4, 2)."""
-    c, s = np.cos(box.yaw), np.sin(box.yaw)
-    hl, hw = 0.5 * box.length, 0.5 * box.width
-    local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
-    rot = np.array([[c, s], [-s, c]])
-    return local @ rot.T + np.array([box.center[0], box.center[2]])
+    return _footprints([box])[1][0]
 
 
-def _edge_side(a, d, p) -> float:
-    # cross product of the directed edge d with (p - a); >= 0 is inside
-    # for a counter-clockwise clip polygon
-    return d[0] * (p[1] - a[1]) - d[1] * (p[0] - a[0])
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    # sums over axis 1 in a fixed order with elementwise adds, so a
+    # row's bits never depend on how many rows share the call
+    while x.shape[1] % 2 == 0:
+        half = x.shape[1] // 2
+        x = x[:, :half] + x[:, half:]
+    out = x[:, 0]
+    for k in range(1, x.shape[1]):
+        out = out + x[:, k]
+    return out
 
 
-def _line_intersect(p1, p2, a, b) -> np.ndarray:
-    d1 = p2 - p1
-    d2 = b - a
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if denom == 0.0:
-        # parallel segment; only reached when an endpoint already lies
-        # on the clip line, so either endpoint is a valid intersection
-        return p1
-    t = ((a[0] - p1[0]) * d2[1] - (a[1] - p1[1]) * d2[0]) / denom
-    return p1 + t * d1
+def _overlap_areas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Overlap areas of M footprint pairs, (M, 4, 2) x (M, 4, 2) -> (M,).
 
-
-def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> list[np.ndarray]:
-    """Sutherland-Hodgman clip of a polygon by a convex CCW polygon."""
-    output = [np.asarray(p, dtype=np.float64) for p in subject]
-    k = len(clip)
-    for i in range(k):
-        if not output:
-            break
-        a, b = clip[i], clip[(i + 1) % k]
-        d = b - a
-        pts = output
-        output = []
-        prev = pts[-1]
-        prev_in = _edge_side(a, d, prev) >= 0.0
-        for p in pts:
-            p_in = _edge_side(a, d, p) >= 0.0
-            if p_in:
-                if not prev_in:
-                    output.append(_line_intersect(prev, p, a, b))
-                output.append(p)
-            elif prev_in:
-                output.append(_line_intersect(prev, p, a, b))
-            prev, prev_in = p, p_in
-    return output
-
-
-def _polygon_area(pts: list[np.ndarray]) -> float:
-    if len(pts) < 3:
-        return 0.0
-    arr = np.asarray(pts)
-    x, z = arr[:, 0], arr[:, 1]
-    return 0.5 * abs(float(x @ np.roll(z, -1) - z @ np.roll(x, -1)))
+    The overlap of two convex quads is the convex polygon whose vertices
+    are the corners of each quad inside the other and the crossings of
+    their edges. These (at most 24) candidates are ordered by angle
+    about their centroid and summed with the shoelace formula, as in
+    the OpenPCDet ``iou3d_nms`` kernels. A pair's
+    values pass only through elementwise arithmetic, maxima, stable row
+    sorts and fixed-order row sums, so it gets the same bits alone or
+    inside any batch. Overlaps at most a small share of the smaller
+    footprint, the rounding noise of touching pairs, are returned as 0.
+    """
+    m = a.shape[0]
+    rows = np.arange(m)[:, None]
+    # coordinates relative to a's center keep the products small
+    o = 0.5 * (a[:, :1] + a[:, 2:3])
+    pa, pb = a - o, b - o
+    ea, eb = pa[:, _NEXT] - pa, pb[:, _NEXT] - pb
+    # (M, 4, 4) over corner/edge i of a and corner/edge j of b:
+    # side_a[i, j] > 0 puts corner i of a on the inner side of edge j of
+    # b, side_b[i, j] > 0 corner j of b on the inner side of edge i of a
+    w = pb[:, None] - pa[:, :, None]
+    side_a = w[..., 0] * eb[:, None, :, 1] - w[..., 1] * eb[:, None, :, 0]
+    side_b = ea[:, :, None, 0] * w[..., 1] - ea[:, :, None, 1] * w[..., 0]
+    # sides within the tolerance, relative to the pair's squared extent,
+    # count as on the line: such corners stay inside despite rounding,
+    # and only clear sign changes make crossings, so (nearly) collinear
+    # edges, whose crossing is ill-conditioned, give none
+    tol = _INSIDE_REL_TOL * np.abs(w).max(axis=(1, 2, 3))[:, None, None] ** 2
+    sign_a = (side_a > tol).view(np.int8) - (side_a < -tol).view(np.int8)
+    sign_b = (side_b > tol).view(np.int8) - (side_b < -tol).view(np.int8)
+    # edge i of a crosses edge j of b where the ends of each lie on
+    # opposite sides of the other's line, at t in (0, 1) along edge i
+    hit = (sign_a * sign_a[:, _NEXT] < 0) & (sign_b * sign_b[:, :, _NEXT] < 0)
+    t = side_a / np.where(hit, side_a - side_a[:, _NEXT], 1.0)
+    crossings = pa[:, :, None] + t[..., None] * ea[:, :, None]
+    pts = np.concatenate([pa, pb, crossings.reshape(m, 16, 2)], axis=1)
+    valid = np.concatenate(
+        [(sign_a >= 0).all(axis=2), (sign_b >= 0).all(axis=1),
+         hit.reshape(m, 16)], axis=1)
+    # order by a trig-free pseudo-angle in [-1, 3) about the centroid,
+    # which lies inside the overlap; candidates left out sort last and
+    # then repeat the first vertex, which adds nothing to the sum
+    count = np.maximum(valid.sum(axis=1), 1)[:, None]
+    d = pts - (_row_sum(np.where(valid[..., None], pts, 0.0)) / count)[:, None]
+    r = np.abs(d[..., 0]) + np.abs(d[..., 1])
+    p = d[..., 1] / np.where(r > 0.0, r, 1.0)
+    key = np.where(valid, np.where(d[..., 0] >= 0.0, p, 2.0 - p), np.inf)
+    order = np.argsort(key, axis=1, kind="stable")
+    order = np.where(valid[rows, order], order, order[:, :1])
+    v = d[rows, order]
+    vn = v[:, _NEXT24]
+    area = 0.5 * _row_sum(v[..., 0] * vn[..., 1] - v[..., 1] * vn[..., 0])
+    own = np.minimum(ea[:, 0, 0] * ea[:, 1, 1] - ea[:, 0, 1] * ea[:, 1, 0],
+                     eb[:, 0, 0] * eb[:, 1, 1] - eb[:, 0, 1] * eb[:, 1, 0])
+    return np.where(area > _AREA_REL_EPS * own, area, 0.0)
 
 
 def intersection_area_bev(a: Box3D, b: Box3D) -> float:
     """Footprint overlap area of two boxes in the ground plane."""
-    # circumradius gate: far-apart footprints cannot overlap
-    ra = 0.5 * np.hypot(a.length, a.width)
-    rb = 0.5 * np.hypot(b.length, b.width)
-    dx = a.center[0] - b.center[0]
-    dz = a.center[2] - b.center[2]
-    if dx * dx + dz * dz > (ra + rb) ** 2:
+    if _apart(a.center[0] - b.center[0], a.center[2] - b.center[2],
+              _circumradius(a), _circumradius(b)):
         return 0.0
-    area = _polygon_area(_clip_polygon(footprint_corners(a), footprint_corners(b)))
-    return area if area > _AREA_EPS else 0.0
+    corners = _footprints([a, b])[1]
+    return float(_overlap_areas(corners[:1], corners[1:])[0])
 
 
 def iou_bev(a: Box3D, b: Box3D) -> float:
@@ -318,6 +376,41 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     return min(1.0, inter_vol / union)
 
 
+def _greedy_nms(boxes, scores, iou_threshold: float):
+    """Yield the indices :func:`nms` keeps, best first.
+
+    A pick is final before any later box is looked at, so a caller that
+    needs the first k stops after k picks. Each kept box is tested only
+    against the later boxes still unsuppressed: the circumradius gate in
+    one array op, then the survivors in one overlap-kernel call, which
+    gives each pair the same bits as :func:`iou_bev`.
+    """
+    if len(boxes) != len(scores):
+        raise DimensionMismatch(
+            f"{len(boxes)} boxes but {len(scores)} scores"
+        )
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
+    order = np.argsort(-scores, kind="stable")
+    centers, corners, areas, radii = _footprints([boxes[i] for i in order])
+    alive = np.ones(len(order), dtype=bool)
+    for pos in range(len(order)):
+        if not alive[pos]:
+            continue
+        yield int(order[pos])
+        rest = pos + 1 + np.flatnonzero(alive[pos + 1:])
+        d = centers[rest] - centers[pos]
+        near = rest[~_apart(d[:, 0], d[:, 1], radii[pos], radii[rest])]
+        if near.size:
+            inter = _overlap_areas(
+                np.broadcast_to(corners[pos], (near.size, 4, 2)), corners[near])
+            iou = np.minimum(1.0, inter / (areas[pos] + areas[near] - inter))
+            alive[near[iou > iou_threshold]] = False
+
+
 def nms(boxes, scores, iou_threshold: float) -> list[int]:
     """Greedy non-maximum suppression on BEV IoU.
 
@@ -328,26 +421,7 @@ def nms(boxes, scores, iou_threshold: float) -> list[int]:
 
     Returns the kept indices in descending-score order.
     """
-    if len(boxes) != len(scores):
-        raise DimensionMismatch(
-            f"{len(boxes)} boxes but {len(scores)} scores"
-        )
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-    if not np.isfinite(np.asarray(scores, dtype=np.float64)).all():
-        raise ValueError("scores must be finite")
-    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
-    suppressed = [False] * len(boxes)
-    kept: list[int] = []
-    for i in order:
-        if suppressed[i]:
-            continue
-        kept.append(i)
-        for j in order:
-            if not suppressed[j] and j != i:
-                if iou_bev(boxes[i], boxes[j]) > iou_threshold:
-                    suppressed[j] = True
-    return kept
+    return list(_greedy_nms(boxes, scores, iou_threshold))
 
 
 def enlarge_box(box: Box3D, amount: float) -> Box3D:

@@ -9,11 +9,12 @@ into a fixed-size block the refinement stage can consume directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import Box3D, PointCloud, enlarge_box, nms, points_in_box
+from .geometry import Box3D, PointCloud, _greedy_nms, enlarge_box, points_in_box
 
 
 @dataclass
@@ -51,7 +52,10 @@ def select_proposals(
     """Score-sort, truncate, suppress overlaps, and keep the best few.
 
     Short inputs pass through: fewer than ``keep`` survivors are all
-    returned. Score ties break toward the lower input index.
+    returned. Score ties break toward the lower input index. Greedy NMS
+    fixes its first picks before it looks at anything later, so
+    suppression stops once ``keep`` proposals are kept; the result
+    equals ``nms(...)[:keep]``.
     """
     if pre_nms_top < 1 or keep < 1:
         raise ValueError("pre_nms_top and keep must be positive")
@@ -59,10 +63,10 @@ def select_proposals(
         range(len(proposals)), key=lambda i: (-proposals[i].score, i)
     )[:pre_nms_top]
     subset = [proposals[i] for i in order]
-    kept = nms(
+    kept = _greedy_nms(
         [p.box for p in subset], [p.score for p in subset], nms_threshold
     )
-    return [subset[i] for i in kept[:keep]]
+    return [subset[i] for i in islice(kept, keep)]
 
 
 def roi_pooled_fusion(

@@ -166,3 +166,27 @@ def random_box(rng: np.random.Generator, center_spread: float = 1.5):
         rng.uniform(0.5, 3.0),
         rng.uniform(-np.pi, np.pi),
     )
+
+
+def clustered_boxes(rng: np.random.Generator, count: int, clusters: int = 8):
+    """Boxes jittered around a few random boxes; every fifth box repeats
+    the one before it exactly."""
+    from fuse3d import Box3D
+
+    seeds = [random_box(rng, center_spread=12.0) for _ in range(clusters)]
+    boxes = []
+    for k in range(count):
+        if k % 5 == 4:
+            prev = boxes[-1]
+            boxes.append(Box3D(prev.center.copy(), prev.length, prev.height,
+                               prev.width, prev.yaw))
+            continue
+        s = seeds[k % clusters]
+        boxes.append(Box3D(
+            s.center + rng.normal(0.0, 0.3, size=3),
+            s.length * rng.uniform(0.8, 1.2),
+            s.height,
+            s.width * rng.uniform(0.8, 1.2),
+            s.yaw + rng.normal(0.0, 0.2),
+        ))
+    return boxes

@@ -120,6 +120,19 @@ class TestSampleStudy:
                      "--n", "1", "--lambdas", "1.0"]) == 2
         assert str(cloud_path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("with_attention", [False, True])
+    def test_empty_cloud_is_data_error(self, tmp_path, capsys, with_attention):
+        cloud_path = tmp_path / "empty.bin"
+        cloud_path.write_bytes(b"")
+        args = ["sample-study", "--cloud", str(cloud_path), "--n", "4"]
+        if with_attention:
+            attention_path = tmp_path / "attention.csv"
+            attention_path.write_text("index,score\n")
+            args += ["--attention", str(attention_path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(cloud_path) in err
+
 
 class TestGradcheck:
     def test_report_and_reproducibility(self, tmp_path):
@@ -169,6 +182,19 @@ class TestProject:
         main(["project", "--cloud", str(cloud_path), "--calib", str(calib_path),
               "--image-width", "10", "--image-height", "10", "--out", str(out)])
         assert read_csv(out)[1][4] == "0"
+
+    @pytest.mark.parametrize("bound", ["--image-width", "--image-height"])
+    def test_lone_image_bound_is_usage_error(self, tmp_path, capsys, bound):
+        cloud_path = tmp_path / "cloud.bin"
+        cloud_path.write_bytes(struct.pack("<4f", 50.0, 0.0, 1.0, 0.0))
+        calib_path = tmp_path / "calib.txt"
+        calib_path.write_text(IDENTITY_CALIB)
+        out = tmp_path / "proj.csv"
+        assert main(["project", "--cloud", str(cloud_path),
+                     "--calib", str(calib_path), bound, "10",
+                     "--out", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_cloud_is_data_error(self, tmp_path):
         calib_path = tmp_path / "calib.txt"

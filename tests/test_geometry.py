@@ -11,7 +11,9 @@ from fuse3d import (
     crop_range,
     enlarge_box,
     flip,
+    footprint_corners,
     gather_point_image_features,
+    intersection_area_bev,
     iou_3d,
     iou_bev,
     nms,
@@ -22,8 +24,10 @@ from fuse3d import (
     scale,
     wrap_angle,
 )
+from fuse3d.geometry import _footprints, _overlap_areas
 from oracles import (
     brute_nms,
+    clustered_boxes,
     mc_iou_3d,
     mc_iou_bev,
     points_in_box_oracle,
@@ -36,6 +40,30 @@ IDENTITY_M = np.hstack([np.eye(3), np.zeros((3, 1))])
 
 def unit_box(cx=0.0, cy=0.0, cz=0.0, l=1.0, h=1.0, w=1.0, yaw=0.0):
     return Box3D(np.array([cx, cy, cz]), l, h, w, yaw)
+
+
+def degenerate_pairs():
+    """Named pairs whose overlap polygon is degenerate, far from the origin."""
+    base = Box3D(np.array([12.3, 0.4, 31.7]), 4.2, 1.5, 1.8, 0.7)
+    along_l = np.array([np.cos(base.yaw), 0.0, -np.sin(base.yaw)])
+    along_w = np.array([np.sin(base.yaw), 0.0, np.cos(base.yaw)])
+
+    def moved(offset):
+        return Box3D(base.center + offset, base.length, base.height,
+                     base.width, base.yaw)
+
+    return {
+        "identical": (base, moved(np.zeros(3))),
+        "shared_short_edge": (base, moved(base.length * along_l)),
+        "shared_long_edge": (base, moved(base.width * along_w)),
+        "half_shared_edge": (base, moved(base.length * along_l
+                                         + 0.5 * base.width * along_w)),
+        "touching_corners": (base, moved(base.length * along_l
+                                         + base.width * along_w)),
+        "nested": (base, Box3D(base.center, 1.0, 1.0, 0.5, 0.2)),
+        "swapped": (base, Box3D(base.center, base.width, base.height,
+                                base.length, base.yaw + np.pi / 2)),
+    }
 
 
 class TestTypes:
@@ -226,6 +254,63 @@ class TestIoU:
             assert abs(iou_3d(a, b) - mc_iou_3d(a, b, 100_000, rng)) < 0.01
 
 
+class TestOverlapKernel:
+    def test_batched_equals_one_pair_bits(self):
+        rng = np.random.default_rng(17)
+        pairs = [(random_box(rng), random_box(rng)) for _ in range(300)]
+        pairs += list(degenerate_pairs().values())
+        corners_a = _footprints([a for a, _ in pairs])[1]
+        corners_b = _footprints([b for _, b in pairs])[1]
+        batched = _overlap_areas(corners_a, corners_b)
+        alone = np.array([_overlap_areas(corners_a[k:k + 1], corners_b[k:k + 1])[0]
+                          for k in range(len(pairs))])
+        assert np.array_equal(batched, alone)
+        one_pair = np.array([intersection_area_bev(a, b) for a, b in pairs])
+        assert np.array_equal(batched, one_pair)
+        assert (batched > 0).sum() > 100  # many random pairs overlap
+
+    def test_footprints_match_one_row_calls(self):
+        rng = np.random.default_rng(18)
+        boxes = [random_box(rng, center_spread=40.0) for _ in range(50)]
+        corners = _footprints(boxes)[1]
+        for box, row in zip(boxes, corners):
+            assert np.array_equal(footprint_corners(box), row)
+
+    def test_degenerate_pairs(self):
+        pairs = degenerate_pairs()
+        base = pairs["identical"][0]
+        for name in ("identical", "swapped"):
+            a, b = pairs[name]
+            assert iou_bev(a, b) == pytest.approx(1.0, abs=1e-12), name
+            assert iou_bev(b, a) == pytest.approx(1.0, abs=1e-12), name
+        for name in ("shared_short_edge", "shared_long_edge",
+                     "half_shared_edge", "touching_corners"):
+            a, b = pairs[name]
+            assert intersection_area_bev(a, b) == 0.0, name
+            assert iou_bev(a, b) == 0.0 and iou_bev(b, a) == 0.0, name
+            assert iou_3d(a, b) == 0.0, name
+        a, b = pairs["nested"]
+        assert intersection_area_bev(a, b) == pytest.approx(0.5, rel=1e-12)
+        assert iou_bev(b, a) == pytest.approx(0.5 / (base.length * base.width),
+                                              rel=1e-12)
+
+    def test_unit_squares_touching(self):
+        a = unit_box()
+        for b in (unit_box(cx=1.0), unit_box(cz=-1.0), unit_box(cx=1.0, cz=1.0),
+                  unit_box(cx=1.0, cz=0.5)):
+            assert iou_bev(a, b) == 0.0
+            assert iou_3d(a, b) == 0.0
+
+    def test_tiny_boxes_keep_their_overlap(self):
+        a = Box3D(np.array([3.0, 0.0, 7.0]), 1e-5, 1e-5, 1e-5, 0.4)
+        assert iou_bev(a, a) == pytest.approx(1.0, abs=1e-9)
+        assert iou_3d(a, a) == pytest.approx(1.0, abs=1e-9)
+        b = Box3D(np.array([3.0, 0.0, 7.0]), 1e-5, 1e-5, 1e-5, 0.4 + np.pi / 4)
+        # two squares rotated by 45 degrees overlap in an octagon
+        octagon = 2.0 * (np.sqrt(2.0) - 1.0) * 1e-10
+        assert intersection_area_bev(a, b) == pytest.approx(octagon, rel=1e-9)
+
+
 class TestNms:
     def test_single_box_kept(self):
         assert nms([unit_box()], [0.5], 0.8) == [0]
@@ -263,6 +348,17 @@ class TestNms:
         perm = list(rng.permutation(12))
         kept_perm = nms([boxes[i] for i in perm], [scores[i] for i in perm], 0.3)
         assert sorted(perm[i] for i in kept_perm) == sorted(kept)
+
+    def test_matches_brute_force_on_clustered_sets(self):
+        rng = np.random.default_rng(19)
+        for _ in range(2):
+            boxes = clustered_boxes(rng, 200)
+            # two decimals give many tied scores
+            scores = list(np.round(rng.uniform(0.0, 1.0, len(boxes)), 2))
+            for threshold in (0.3, 0.8):
+                kept = nms(boxes, scores, threshold)
+                assert kept == brute_nms(boxes, scores, threshold, iou_bev)
+                assert len(kept) < len(boxes)  # duplicates are suppressed
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(16)

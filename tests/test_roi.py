@@ -8,11 +8,12 @@ from fuse3d import (
     PooledRoI,
     Proposal,
     enlarge_box,
+    nms,
     points_in_box,
     roi_pooled_fusion,
     select_proposals,
 )
-from oracles import random_box
+from oracles import clustered_boxes, random_box
 
 
 def proposal(cx=0.0, score=0.5, l=1.0):
@@ -57,6 +58,20 @@ class TestSelectProposals:
         props = [proposal(cx=0.0, score=0.5), proposal(cx=50.0, score=0.5)]
         out = select_proposals(props)
         assert out[0].box.center[0] == 0.0
+
+    def test_equals_nms_prefix(self):
+        rng = np.random.default_rng(31)
+        boxes = clustered_boxes(rng, 240)
+        scores = np.round(rng.uniform(0.0, 1.0, len(boxes)), 2)
+        props = [Proposal(b, s) for b, s in zip(boxes, scores)]
+        by_score = sorted(range(len(props)), key=lambda i: (-scores[i], i))
+        for pre_nms_top, keep in ((240, 16), (100, 8), (60, 500)):
+            subset = by_score[:pre_nms_top]
+            kept = nms([boxes[i] for i in subset], [scores[i] for i in subset], 0.5)
+            expected = [props[subset[k]] for k in kept[:keep]]
+            out = select_proposals(props, pre_nms_top, 0.5, keep)
+            assert [id(p) for p in out] == [id(p) for p in expected]
+        assert len(out) < 500  # fewer survivors than keep: all returned
 
     def test_default_constants(self):
         import inspect
