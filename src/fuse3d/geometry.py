@@ -76,7 +76,8 @@ class PointCloud:
 class Box3D:
     """Oriented 3D box: center, sizes (length, height, width), yaw.
 
-    Yaw is normalized to [-pi, pi) at construction. A box with yaw
+    Sizes must be positive and finite and the yaw finite; the yaw is
+    normalized to [-pi, pi) at construction. A box with yaw
     shifted by pi and length/width swapped describes the same cuboid;
     the overlap operations treat the two forms identically.
     """
@@ -93,13 +94,17 @@ class Box3D:
             raise DimensionMismatch(f"center must be (3,), got {center.shape}")
         if not np.isfinite(center).all():
             raise ValueError("box center must be finite")
-        if not (self.length > 0 and self.height > 0 and self.width > 0):
-            raise ValueError("box sizes must be positive")
-        self.center = center
         self.length = float(self.length)
         self.height = float(self.height)
         self.width = float(self.width)
-        self.yaw = wrap_angle(float(self.yaw))
+        sizes = (self.length, self.height, self.width)
+        if not all(0.0 < s < np.inf for s in sizes):
+            raise ValueError("box sizes must be positive and finite")
+        yaw = float(self.yaw)
+        if not math.isfinite(yaw):
+            raise ValueError("box yaw must be finite")
+        self.center = center
+        self.yaw = wrap_angle(yaw)
 
     @property
     def volume(self) -> float:

@@ -140,8 +140,11 @@ def read_labels(path) -> list[tuple[str, Box3D]]:
         except ValueError as exc:
             raise ParseError(f"{path}:{line_no}: {exc}") from None
         h, w, l, x, y, z, yaw = values[7:14]
-        center = np.array([x, y - h / 2.0, z])
-        out.append((parts[0], Box3D(center, l, h, w, yaw)))
+        try:
+            box = Box3D(np.array([x, y - h / 2.0, z]), l, h, w, yaw)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{line_no}: {exc}") from None
+        out.append((parts[0], box))
     return out
 
 

@@ -31,40 +31,41 @@ def sigmoid(x) -> np.ndarray:
 
 
 def finite_diff_grad(
-    f: Callable[[np.ndarray], float], x, eps: float = 1e-4
+    f: Callable[[np.ndarray], np.ndarray], x, eps: float = 1e-4
 ) -> np.ndarray:
     """Central-difference gradient of a scalar function of an array.
 
-    Independent oracle for hand-written backward passes. Each entry of
-    ``x`` is perturbed by +-eps in turn, so the cost is two evaluations
-    of ``f`` per entry. ``f`` must treat its argument as read-only and
-    must not keep a reference to it.
+    Independent oracle for hand-written backward passes. ``f`` is called
+    once, on the whole central-difference stencil: a
+    ``(2 * x.size, *x.shape)`` stack whose row k is ``x`` with flat
+    entry k raised by eps and whose row ``x.size + k`` has it lowered
+    by eps. ``f`` returns one value per row, shape ``(2 * x.size,)``,
+    and must treat the stack as read-only. The stack takes
+    2 * x.size**2 floats.
 
     Parameters
     ----------
     f : callable
-        Maps an array of ``x``'s shape to a scalar.
+        Maps a stack of arrays of ``x``'s shape to one scalar per row.
     x : array
         Point at which to differentiate.
     eps : float
-        Perturbation size; must be positive.
+        Perturbation size; must be finite and positive.
 
     Returns
     -------
     ndarray of ``x``'s shape holding (f(x + eps e) - f(x - eps e)) / 2 eps.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (0.0 < eps < np.inf):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     x = np.array(x, dtype=np.float64)
-    grad = np.empty_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + eps
-        f_plus = float(f(x))
-        x[idx] = orig - eps
-        f_minus = float(f(x))
-        x[idx] = orig
-        grad[idx] = (f_plus - f_minus) / (2.0 * eps)
-    return grad
+    size = x.size
+    flat = x.reshape(-1)
+    stencil = np.tile(flat, (2, size, 1))
+    diag = np.arange(size)
+    stencil[0, diag, diag] = flat + eps
+    stencil[1, diag, diag] = flat - eps
+    values = np.asarray(f(stencil.reshape((2 * size,) + x.shape)), dtype=np.float64)
+    if values.shape != (2 * size,):
+        raise ValueError(f"f returned shape {values.shape}, expected ({2 * size},)")
+    return ((values[:size] - values[size:]) / (2.0 * eps)).reshape(x.shape)

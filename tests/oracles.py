@@ -7,11 +7,14 @@ library updates coordinate columns in place, the AAD oracle builds the
 whole distance matrix where the library works in row chunks, box
 containment goes through corner/edge projections instead of frame
 derotation, the overlap oracles count Monte-Carlo samples instead of
-clipping polygons, and the image-feature oracle projects and
-interpolates one point at a time with plain floats.
+clipping polygons, the image-feature oracle projects and interpolates
+one point at a time with plain floats, and the finite-difference oracle
+perturbs one entry at a time and calls its function twice per entry.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -76,6 +79,25 @@ def scalar_image_feature(fmap: np.ndarray, projection: np.ndarray, point) -> np.
     top = (1.0 - du) * fmap[v0, u0] + du * fmap[v0, u1]
     bottom = (1.0 - du) * fmap[v1, u0] + du * fmap[v1, u1]
     return (1.0 - dv) * top + dv * bottom
+
+
+def scalar_finite_diff_grad(
+    f: Callable[[np.ndarray], float], x, eps: float
+) -> np.ndarray:
+    """Central differences of a scalar function, one entry at a time."""
+    x = np.array(x, dtype=np.float64)
+    grad = np.empty_like(x)
+    it = np.nditer(x, flags=["multi_index"])
+    for _ in it:
+        idx = it.multi_index
+        orig = x[idx]
+        x[idx] = orig + eps
+        f_plus = float(f(x))
+        x[idx] = orig - eps
+        f_minus = float(f(x))
+        x[idx] = orig
+        grad[idx] = (f_plus - f_minus) / (2.0 * eps)
+    return grad
 
 
 def brute_nms(boxes, scores, threshold: float, iou_fn) -> list[int]:

@@ -155,6 +155,21 @@ class TestGradcheck:
         rb = json.loads(b.read_text())["max_relative_error"]
         assert ra != rb
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--eps", "nan"], "eps"),
+        (["--eps", "inf"], "eps"),
+        (["--trials", "0"], "trials"),
+        (["--trials", "-3"], "trials"),
+        (["--max-points", "0"], "max_points"),
+        (["--max-channels", "0"], "max_channels"),
+    ])
+    def test_bad_argument_is_usage_error(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "g.json"
+        assert main(["gradcheck", "--trials", "3", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and named in err
+        assert not out.exists()
+
 
 class TestProject:
     def test_projection_table(self, tmp_path):

@@ -19,6 +19,10 @@ from fuse3d import (
     run_gradcheck,
     save_params,
 )
+from fuse3d import fusion
+from fuse3d.fusion import _GRAD_GROUPS, _forward, _groups
+
+from oracles import scalar_finite_diff_grad
 
 
 def zero_params(c_img, c_pt, c_prev, c_out):
@@ -45,6 +49,25 @@ def random_instance(rng, n=None):
         f_fused_prev=rng.standard_normal((n, c_prev)),
     )
     return params, inp
+
+
+def per_element_gradcheck(params, inp, upstream, eps):
+    """Gradient-check report from one forward call per perturbed entry."""
+    analytic = aaf_backward(params, inp, upstream)
+    report = {}
+    for group in _GRAD_GROUPS:
+        owner = inp if group.startswith("f_") else params
+
+        def loss(value):
+            if owner is inp:
+                out = aaf_forward(params, replace(inp, **{group: value}))
+            else:
+                out = aaf_forward(replace(params, **{group: value}), inp)
+            return float((upstream * out.f_fused).sum())
+
+        numeric = scalar_finite_diff_grad(loss, getattr(owner, group), eps)
+        report[group] = relative_error(getattr(analytic, group), numeric)
+    return report
 
 
 class TestForward:
@@ -208,6 +231,62 @@ class TestBackward:
             "b_out", "f_image", "f_point", "f_fused_prev",
         }
         assert report["max_relative_error"] < 1e-5
+
+    def test_batched_report_equals_per_element_oracle(self):
+        rng = np.random.default_rng(59)
+        for trial in range(24):
+            bound = 4 if trial < 16 else 7
+            n = int(rng.integers(1, bound + 1))
+            sizes = [int(rng.integers(1, bound)) for _ in range(4)]
+            params = init_params(*sizes, rng)
+            inp = AAFInput(rng.standard_normal((n, sizes[0])),
+                           rng.standard_normal((n, sizes[1])),
+                           rng.standard_normal((n, sizes[2])))
+            upstream = rng.standard_normal((n, sizes[3]))
+            for eps in (1e-5, 1e-3):
+                assert gradcheck(params, inp, upstream, eps=eps) == \
+                    per_element_gradcheck(params, inp, upstream, eps)
+
+    def test_forward_body_broadcasts_over_a_batch_axis(self):
+        rng = np.random.default_rng(61)
+        instances = [init_params(2, 3, 1, 2, rng) for _ in range(5)]
+        inputs = [AAFInput(rng.standard_normal((3, 2)),
+                           rng.standard_normal((3, 3)),
+                           rng.standard_normal((3, 1))) for _ in range(5)]
+        stacked = [
+            np.stack([g if g.ndim == 2 else g[None] for g in groups])
+            for groups in zip(*(_groups(p, i) for p, i in zip(instances, inputs)))
+        ]
+        fused = _forward(*stacked)[-1]
+        for k, (p, i) in enumerate(zip(instances, inputs)):
+            np.testing.assert_array_equal(fused[k], aaf_forward(p, i).f_fused)
+
+    def test_run_gradcheck_keeps_a_nan_error(self, monkeypatch):
+        real = fusion.gradcheck
+        calls = []
+
+        def nan_in_second_trial(*args, **kwargs):
+            report = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 2:
+                report["b_out"] = math.nan
+            return report
+
+        monkeypatch.setattr(fusion, "gradcheck", nan_in_second_trial)
+        report = run_gradcheck(seed=123, trials=3)
+        assert math.isnan(report["per_group_max_relative_error"]["b_out"])
+        assert math.isnan(report["max_relative_error"])
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-5, 0.0])
+    def test_run_gradcheck_rejects_bad_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            run_gradcheck(seed=1, trials=2, eps=eps)
+
+    @pytest.mark.parametrize("name", ["trials", "max_points", "max_channels"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_run_gradcheck_rejects_counts_below_one(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+            run_gradcheck(seed=1, **{name: value})
 
 
 class TestSerialization:

@@ -87,6 +87,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             unit_box(l=0.0)
 
+    @pytest.mark.parametrize("size", [{"l": np.inf}, {"h": np.nan}, {"w": np.inf},
+                                      {"w": -1.0}])
+    def test_box_rejects_nonfinite_sizes(self, size):
+        with pytest.raises(ValueError, match="sizes must be positive and finite"):
+            unit_box(**size)
+
+    @pytest.mark.parametrize("yaw", [np.nan, np.inf, -np.inf])
+    def test_box_rejects_nonfinite_yaw(self, yaw):
+        with pytest.raises(ValueError, match="yaw must be finite"):
+            unit_box(yaw=yaw)
+
     def test_wrap_angle_halfopen(self):
         assert wrap_angle(np.pi) == pytest.approx(-np.pi)
         assert wrap_angle(-np.pi) == pytest.approx(-np.pi)

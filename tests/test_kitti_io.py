@@ -176,6 +176,20 @@ class TestLabels:
         with pytest.raises(ParseError):
             read_labels(path)
 
+    @pytest.mark.parametrize("field, value", [
+        (-1, "nan"), (-1, "inf"), (-1, "-inf"),  # yaw
+        (-2, "nan"),                               # z of the location
+        (10, "0"), (8, "-1.5"), (9, "inf"),        # l, h, w
+    ])
+    def test_bad_box_value_names_file_and_line(self, tmp_path, field, value):
+        parts = CAR_LINE.split()
+        parts[field] = value
+        path = tmp_path / "label.txt"
+        path.write_text(CAR_LINE + "\n" + " ".join(parts) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_labels(path)
+        assert f"{path}:2:" in str(err.value)
+
     def test_trailing_score_tolerated(self, tmp_path):
         path = tmp_path / "label.txt"
         path.write_text(CAR_LINE + " 0.98\n")

@@ -3,6 +3,8 @@ import pytest
 
 from fuse3d import finite_diff_grad, sigmoid
 
+from oracles import scalar_finite_diff_grad
+
 
 class TestSigmoid:
     def test_symmetry_point(self):
@@ -32,17 +34,19 @@ class TestSigmoid:
 
 class TestFiniteDiffGrad:
     def test_sum_of_squares(self):
-        grad = finite_diff_grad(lambda m: float((m ** 2).sum()), [[3.0]], eps=1e-4)
+        grad = finite_diff_grad(lambda s: (s ** 2).sum(axis=(1, 2)), [[3.0]],
+                                eps=1e-4)
         np.testing.assert_allclose(grad, [[6.0]], rtol=1e-6)
 
     def test_constant_function(self):
-        grad = finite_diff_grad(lambda m: 7.5, np.ones((2, 3)), eps=1e-4)
+        grad = finite_diff_grad(lambda s: np.full(len(s), 7.5), np.ones((2, 3)),
+                                eps=1e-4)
         np.testing.assert_array_equal(grad, np.zeros((2, 3)))
 
     def test_linear_function(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 2))
-        grad = finite_diff_grad(lambda m: float(m.sum()), x, eps=1e-4)
+        grad = finite_diff_grad(lambda s: s.sum(axis=(1, 2)), x, eps=1e-4)
         np.testing.assert_allclose(grad, np.ones((3, 2)), rtol=1e-9)
 
     def test_quadratic_matches_analytic(self):
@@ -51,13 +55,63 @@ class TestFiniteDiffGrad:
         q = q + q.T
         x = rng.standard_normal(4)
 
-        def f(v):
-            return float(v @ q @ v)
+        def f(stack):
+            return np.array([float(v @ q @ v) for v in stack])
 
         grad = finite_diff_grad(f, x, eps=1e-4)
         analytic = 2.0 * q @ x
         assert float(np.abs(grad - analytic).max() / np.abs(analytic).max()) < 1e-6
 
+    def test_one_call_on_the_whole_stencil(self):
+        x = np.arange(6.0).reshape(2, 3) - 2.5
+        eps = 0.25
+        calls = []
+
+        def f(stack):
+            calls.append(stack.copy())
+            return stack.reshape(len(stack), -1) @ np.arange(1.0, 7.0)
+
+        grad = finite_diff_grad(f, x, eps=eps)
+        assert len(calls) == 1
+        [stack] = calls
+        assert stack.shape == (12, 2, 3)
+        for k in range(6):
+            plus, minus = x.copy(), x.copy()
+            plus.flat[k] = x.flat[k] + eps
+            minus.flat[k] = x.flat[k] - eps
+            np.testing.assert_array_equal(stack[k], plus)
+            np.testing.assert_array_equal(stack[6 + k], minus)
+        np.testing.assert_allclose(grad, np.arange(1.0, 7.0).reshape(2, 3),
+                                   rtol=1e-12)
+
+    def test_matches_scalar_oracle_bitwise(self):
+        rng = np.random.default_rng(5)
+        for shape in [(1,), (5,), (2, 3), (3, 1, 2)]:
+            x = rng.standard_normal(shape)
+
+            def scalar(v):
+                return float(np.tanh(v).sum() + (v.reshape(-1)[:1] ** 3).sum())
+
+            def rows(stack):
+                return np.array([scalar(v) for v in stack])
+
+            np.testing.assert_array_equal(
+                finite_diff_grad(rows, x, eps=1e-5),
+                scalar_finite_diff_grad(scalar, x, eps=1e-5),
+            )
+
+    def test_wrong_value_shape_raises(self):
+        with pytest.raises(ValueError, match="expected \\(16,\\)"):
+            finite_diff_grad(lambda s: s.sum(axis=1), np.ones((4, 2)), eps=1e-4)
+
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
             finite_diff_grad(lambda m: 0.0, np.ones(2), eps=0.0)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-4])
+    def test_rejects_nonfinite_or_negative_eps(self, eps):
+        calls = []
+        with pytest.raises(ValueError, match="finite and positive"):
+            finite_diff_grad(lambda s: calls.append(s) or np.zeros(len(s)),
+                             np.ones(2), eps=eps)
+        assert calls == []
