@@ -1,9 +1,9 @@
 """Rotated-box geometry: projection, overlap, suppression, augmentation.
 
 Walks the geometric toolbox used everywhere else: pinhole projection
-with the perspective divide, bilinear feature lookup, footprint IoU by
-polygon clipping, greedy NMS, and the standard point-cloud
-augmentations.
+with the perspective divide, bilinear feature lookup, footprint IoU
+from the batched convex-overlap kernel, greedy NMS, and the standard
+point-cloud augmentations.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from fuse3d import (
     iou_bev,
     nms,
     points_in_box,
-    project_point,
+    project_points,
     rotate_y,
     scale,
 )
@@ -29,7 +29,7 @@ projection = np.array([
     [0.0, 700.0, 190.0, 0.0],
     [0.0, 0.0, 1.0, 0.0],
 ])
-u, v, depth = project_point((2.0, -1.0, 20.0), projection)
+(u,), (v,), (depth,) = project_points(np.array([[2.0, -1.0, 20.0]]), projection)
 print(f"point (2, -1, 20) lands at pixel ({u:.1f}, {v:.1f}), depth {depth} m")
 
 # Bilinear lookup blends the four neighboring pixels.

@@ -19,7 +19,6 @@ from .config import (
     validate_config,
 )
 from .errors import (
-    BehindCamera,
     DimensionMismatch,
     DomainError,
     Fuse3DError,
@@ -47,20 +46,15 @@ from .fusion import (
 from .geometry import (
     Box3D,
     PointCloud,
-    back_project,
     bilinear_sample,
     crop_range,
     enlarge_box,
-    flip,
-    footprint_corners,
     gather_point_image_features,
     in_image_bounds,
-    intersection_area_bev,
     iou_3d,
     iou_bev,
     nms,
     points_in_box,
-    project_point,
     project_points,
     rotate_y,
     rotation_y,
@@ -69,7 +63,6 @@ from .geometry import (
 )
 from .kitti_io import (
     CalibData,
-    camera_box_to_lidar,
     read_calib,
     read_calib_components,
     read_labels,

@@ -219,6 +219,8 @@ def cmd_gen_scene(args) -> int:
 
 
 def _study_inputs(args):
+    if args.attention is not None and args.cloud is None:
+        raise _UsageError("--attention needs --cloud")
     if args.cloud:
         cloud = read_point_cloud_bin(args.cloud)
         if len(cloud) == 0:

@@ -62,7 +62,10 @@ class RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Raise ValueError on an inconsistent configuration."""
+    """Raise ValueError, naming the key, on an inconsistent configuration.
+
+    Each check is phrased so that NaN fails it.
+    """
     for lo, hi, name in (
         (cfg.crop_x_min, cfg.crop_x_max, "x"),
         (cfg.crop_y_min, cfg.crop_y_max, "y"),
@@ -74,16 +77,27 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("point budgets must be positive")
     if any(s < 1 for s in cfg.sa_samples):
         raise ValueError("sa_samples must be positive")
-    if cfg.sampler_lambda < 1.0:
-        raise ValueError(f"sampler_lambda must be >= 1, got {cfg.sampler_lambda}")
+    if not 1.0 <= cfg.sampler_lambda < math.inf:
+        raise ValueError(
+            f"sampler_lambda must be finite and >= 1, got {cfg.sampler_lambda}"
+        )
     if not 0.0 <= cfg.nms_threshold <= 1.0:
         raise ValueError(f"nms_threshold must be in [0, 1], got {cfg.nms_threshold}")
     if cfg.pre_nms_top < 1 or cfg.proposals_keep < 1:
         raise ValueError("proposal caps must be positive")
-    if cfg.enlarge < 0:
-        raise ValueError(f"enlarge must be >= 0, got {cfg.enlarge}")
-    cfg.focal_config()
-    cfg.bin_config()
+    if not 0.0 <= cfg.enlarge < math.inf:
+        raise ValueError(f"enlarge must be finite and >= 0, got {cfg.enlarge}")
+    if not 0.0 < cfg.focal_alpha < 1.0:
+        raise ValueError(f"focal_alpha must be in (0, 1), got {cfg.focal_alpha}")
+    if not 0.0 <= cfg.focal_gamma < math.inf:
+        raise ValueError(f"focal_gamma must be finite and >= 0, got {cfg.focal_gamma}")
+    if not 0.0 < cfg.bin_half_range < math.inf:
+        raise ValueError(
+            f"bin_half_range must be positive and finite, got {cfg.bin_half_range}"
+        )
+    for key in ("bin_count_xz", "bin_count_yaw"):
+        if getattr(cfg, key) < 2:
+            raise ValueError(f"{key} must be >= 2, got {getattr(cfg, key)}")
 
 
 def _format_value(value) -> str:

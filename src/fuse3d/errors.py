@@ -9,10 +9,6 @@ class DimensionMismatch(Fuse3DError, ValueError):
     """Array shapes do not satisfy an operation's contract."""
 
 
-class BehindCamera(Fuse3DError):
-    """A point projects to non-positive depth and has no image coordinate."""
-
-
 class InvalidCount(Fuse3DError, ValueError):
     """A requested sample count or factor is outside the valid range."""
 

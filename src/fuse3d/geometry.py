@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, DimensionMismatch
+from .errors import DimensionMismatch
 
 # An overlap at most this share of the smaller footprint counts as
 # zero: clipping touching pairs (shared edges and corners) leaves
@@ -150,34 +150,6 @@ def project_points(coords, projection) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return us, vs, depth
 
 
-def project_point(point, projection) -> tuple[float, float, float]:
-    """Project one point; :func:`project_points` on a single row.
-
-    Raises
-    ------
-    BehindCamera
-        When the projected depth is <= 0; such points are invisible and
-        the caller must drop them.
-    """
-    p = np.asarray(point, dtype=np.float64).reshape(1, 3)
-    us, vs, depths = project_points(p, projection)
-    depth = float(depths[0])
-    if depth <= 0.0:
-        raise BehindCamera(f"point {p[0].tolist()} projects to depth {depth}")
-    return float(us[0]), float(vs[0]), depth
-
-
-def back_project(u: float, v: float, depth: float, projection) -> np.ndarray:
-    """Invert :func:`project_point` given the depth.
-
-    Requires the left 3x3 block of the projection matrix to be
-    non-singular.
-    """
-    m = _as_projection(projection)
-    rhs = depth * np.array([u, v, 1.0]) - m[:, 3]
-    return np.linalg.solve(m[:, :3], rhs)
-
-
 def in_image_bounds(us, vs, width, height) -> np.ndarray:
     """Mask of pixel coordinates inside [0, width-1] x [0, height-1].
 
@@ -273,11 +245,6 @@ def _footprints(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return rows[:, 0:2], corners, rows[:, 8], rows[:, 9]
 
 
-def footprint_corners(box: Box3D) -> np.ndarray:
-    """BEV footprint corners in the x-z plane, counter-clockwise, (4, 2)."""
-    return _footprints([box])[1][0]
-
-
 def _row_sum(x: np.ndarray) -> np.ndarray:
     # sums over axis 1 in a fixed order with elementwise adds, so a
     # row's bits never depend on how many rows share the call
@@ -349,7 +316,7 @@ def _overlap_areas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(area > _AREA_REL_EPS * own, area, 0.0)
 
 
-def intersection_area_bev(a: Box3D, b: Box3D) -> float:
+def _intersection_area_bev(a: Box3D, b: Box3D) -> float:
     """Footprint overlap area of two boxes in the ground plane."""
     if _apart(a.center[0] - b.center[0], a.center[2] - b.center[2],
               _circumradius(a), _circumradius(b)):
@@ -360,7 +327,7 @@ def intersection_area_bev(a: Box3D, b: Box3D) -> float:
 
 def iou_bev(a: Box3D, b: Box3D) -> float:
     """Intersection over union of the two yaw-rotated footprints, in [0, 1]."""
-    inter = intersection_area_bev(a, b)
+    inter = _intersection_area_bev(a, b)
     if inter == 0.0:
         return 0.0
     union = a.length * a.width + b.length * b.width - inter
@@ -369,7 +336,7 @@ def iou_bev(a: Box3D, b: Box3D) -> float:
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volume intersection over union: BEV overlap times vertical overlap."""
-    inter_area = intersection_area_bev(a, b)
+    inter_area = _intersection_area_bev(a, b)
     if inter_area == 0.0:
         return 0.0
     lo = max(a.center[1] - a.height / 2.0, b.center[1] - b.height / 2.0)
@@ -431,8 +398,8 @@ def nms(boxes, scores, iou_threshold: float) -> list[int]:
 
 def enlarge_box(box: Box3D, amount: float) -> Box3D:
     """Grow every size dimension by ``amount``; center and yaw unchanged."""
-    if amount < 0:
-        raise ValueError(f"enlargement must be >= 0, got {amount}")
+    if not 0.0 <= amount < math.inf:
+        raise ValueError(f"enlargement must be finite and >= 0, got {amount}")
     return Box3D(
         box.center.copy(),
         box.length + amount,
@@ -456,15 +423,6 @@ def points_in_box(cloud: PointCloud, box: Box3D) -> np.ndarray:
 def rotate_y(cloud: PointCloud, angle: float) -> PointCloud:
     """Rigid rotation of the cloud about the vertical axis."""
     return PointCloud(cloud.coords @ rotation_y(angle).T, cloud.intensity)
-
-
-def flip(cloud: PointCloud, axis: str) -> PointCloud:
-    """Mirror one horizontal axis ('x' or 'z'); intensity untouched."""
-    if axis not in ("x", "z"):
-        raise ValueError(f"flip axis must be 'x' or 'z', got {axis!r}")
-    coords = cloud.coords.copy()
-    coords[:, 0 if axis == "x" else 2] *= -1.0
-    return PointCloud(coords, cloud.intensity)
 
 
 def scale(cloud: PointCloud, factor: float) -> PointCloud:

@@ -50,7 +50,7 @@ _CALIB_KEYS = {"P2": 12, "R0_rect": 9, "Tr_velo_to_cam": 12}
 
 @dataclass
 class CalibData:
-    """Calibration components kept separate so boxes can change frames."""
+    """The three calibration matrices of one camera, kept separate."""
 
     p2: np.ndarray              # (3, 4) rectified camera projection
     r0: np.ndarray              # (3, 3) rectification rotation
@@ -60,11 +60,6 @@ class CalibData:
     def projection(self) -> np.ndarray:
         """Composed (3, 4) LiDAR-to-image matrix."""
         return self.p2 @ _pad4(self.r0) @ _pad4(self.tr_velo_to_cam)
-
-    @property
-    def rect_to_lidar(self) -> np.ndarray:
-        """Inverse (4, 4) transform from the rectified camera frame."""
-        return np.linalg.inv(_pad4(self.r0) @ _pad4(self.tr_velo_to_cam))
 
 
 def _pad4(m: np.ndarray) -> np.ndarray:
@@ -147,15 +142,3 @@ def read_labels(path) -> list[tuple[str, Box3D]]:
         out.append((parts[0], box))
     return out
 
-
-def camera_box_to_lidar(box: Box3D, calib: CalibData) -> Box3D:
-    """Move a camera-frame box into the LiDAR frame via the calib inverse.
-
-    The center transforms rigidly; the yaw follows the customary
-    velodyne mapping -yaw - pi/2 for the usual axis layout (camera y
-    down / forward z versus LiDAR z up / forward x).
-    """
-    hom = np.append(box.center, 1.0)
-    center = (calib.rect_to_lidar @ hom)[:3]
-    return Box3D(center, box.length, box.height, box.width,
-                 -box.yaw - np.pi / 2.0)

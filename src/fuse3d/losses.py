@@ -36,8 +36,8 @@ class FocalConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
 
 
 def focal_loss(c_t: float, cfg: FocalConfig = FocalConfig()) -> float:
@@ -73,8 +73,10 @@ class BinSpec:
     wrap: bool = False
 
     def __post_init__(self):
-        if self.half_range <= 0:
-            raise ValueError(f"half_range must be positive, got {self.half_range}")
+        if not 0.0 < self.half_range < math.inf:
+            raise ValueError(
+                f"half_range must be positive and finite, got {self.half_range}"
+            )
         if self.num_bins < 2:
             raise ValueError(f"num_bins must be >= 2, got {self.num_bins}")
 

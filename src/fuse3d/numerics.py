@@ -30,18 +30,26 @@ def sigmoid(x) -> np.ndarray:
     return np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
 
 
+# Stencil entries per call of ``f`` in :func:`finite_diff_grad`. Bounds a
+# call to 2 * _STENCIL_BLOCK rows, so memory grows with x.size rather
+# than its square; a gradcheck at the default sizes (at most 80 entries)
+# still takes one call.
+_STENCIL_BLOCK = 128
+
+
 def finite_diff_grad(
     f: Callable[[np.ndarray], np.ndarray], x, eps: float = 1e-4
 ) -> np.ndarray:
     """Central-difference gradient of a scalar function of an array.
 
     Independent oracle for hand-written backward passes. ``f`` is called
-    once, on the whole central-difference stencil: a
-    ``(2 * x.size, *x.shape)`` stack whose row k is ``x`` with flat
-    entry k raised by eps and whose row ``x.size + k`` has it lowered
-    by eps. ``f`` returns one value per row, shape ``(2 * x.size,)``,
-    and must treat the stack as read-only. The stack takes
-    2 * x.size**2 floats.
+    on the central-difference stencil in blocks of at most 128 flat
+    entries, so an ``x`` of up to 128 entries takes one call. The block
+    for entries ``start .. start + m - 1`` is a ``(2 * m, *x.shape)``
+    stack whose row i is ``x`` with flat entry ``start + i`` raised by
+    eps and whose row ``m + i`` has it lowered by eps. ``f`` returns one
+    value per row, shape ``(2 * m,)``, and must treat the stack as
+    read-only. A block takes 2 * m * x.size floats.
 
     Parameters
     ----------
@@ -59,13 +67,17 @@ def finite_diff_grad(
     if not (0.0 < eps < np.inf):
         raise ValueError(f"eps must be finite and positive, got {eps}")
     x = np.array(x, dtype=np.float64)
-    size = x.size
     flat = x.reshape(-1)
-    stencil = np.tile(flat, (2, size, 1))
-    diag = np.arange(size)
-    stencil[0, diag, diag] = flat + eps
-    stencil[1, diag, diag] = flat - eps
-    values = np.asarray(f(stencil.reshape((2 * size,) + x.shape)), dtype=np.float64)
-    if values.shape != (2 * size,):
-        raise ValueError(f"f returned shape {values.shape}, expected ({2 * size},)")
-    return ((values[:size] - values[size:]) / (2.0 * eps)).reshape(x.shape)
+    grad = np.empty_like(flat)
+    for start in range(0, flat.size, _STENCIL_BLOCK):
+        stop = min(start + _STENCIL_BLOCK, flat.size)
+        m = stop - start
+        diag = (np.arange(m), np.arange(start, stop))
+        stencil = np.tile(flat, (2, m, 1))
+        stencil[0][diag] = flat[start:stop] + eps
+        stencil[1][diag] = flat[start:stop] - eps
+        values = np.asarray(f(stencil.reshape((2 * m,) + x.shape)), dtype=np.float64)
+        if values.shape != (2 * m,):
+            raise ValueError(f"f returned shape {values.shape}, expected ({2 * m},)")
+        grad[start:stop] = (values[:m] - values[m:]) / (2.0 * eps)
+    return grad.reshape(x.shape)

@@ -91,6 +91,14 @@ class TestSampleStudy:
     def test_bad_lambda_is_usage_error(self, tmp_path):
         assert main(["sample-study", "--n", "64", "--lambdas", "0.5"]) == 1
 
+    def test_attention_without_cloud_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "study.csv"
+        assert main(["sample-study", "--attention", str(tmp_path / "none.csv"),
+                     "--n", "8", "--lambdas", "1.0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--cloud" in err
+        assert not out.exists()
+
     def test_attention_length_mismatch_is_data_error(self, tmp_path):
         scene_dir = tmp_path / "scene"
         main(["gen-scene", "--outdir", str(scene_dir)])
@@ -341,6 +349,24 @@ class TestConfigHandling:
 
     def test_invalid_config_value_is_usage_error(self):
         assert main(["roi-demo", "--nms-threshold", "2.0"]) == 1
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--focal-gamma", "nan", "focal_gamma"),
+        ("--bin-half-range", "nan", "bin_half_range"),
+        ("--bin-half-range", "inf", "bin_half_range"),
+        ("--sampler-lambda", "nan", "sampler_lambda"),
+        ("--enlarge", "nan", "enlarge"),
+    ])
+    def test_nonfinite_config_value_is_usage_error(self, tmp_path, capsys,
+                                                   flag, value, key):
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(TestLossEval.fixture_payload()))
+        out = tmp_path / "losses.json"
+        assert main(["loss-eval", "--fixture", str(fixture), flag, value,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and key in err
+        assert not out.exists()
 
 
 class TestExitCodes:

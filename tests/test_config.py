@@ -86,6 +86,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_config(dataclasses.replace(RunConfig(), nms_threshold=1.5))
 
+    @pytest.mark.parametrize("key, value", [
+        ("sampler_lambda", math.nan), ("sampler_lambda", math.inf),
+        ("nms_threshold", math.nan),
+        ("enlarge", math.nan), ("enlarge", math.inf),
+        ("focal_alpha", math.nan),
+        ("focal_gamma", math.nan), ("focal_gamma", math.inf),
+        ("bin_half_range", math.nan), ("bin_half_range", math.inf),
+        ("bin_count_yaw", 1),
+    ])
+    def test_bad_value_rejected_by_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            validate_config(dataclasses.replace(RunConfig(), **{key: value}))
+
 
 class TestSubsystemSeed:
     def test_deterministic(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -246,6 +247,23 @@ class TestBackward:
             for eps in (1e-5, 1e-3):
                 assert gradcheck(params, inp, upstream, eps=eps) == \
                     per_element_gradcheck(params, inp, upstream, eps)
+
+    def test_large_instance_memory_is_bounded(self):
+        # 50 points and 12 channels per group make 2294 entries, whose
+        # whole stencil alone would take 84 MB; the blocks keep the
+        # traced peak far below that
+        rng = np.random.default_rng(67)
+        params = init_params(12, 12, 12, 12, rng)
+        inp = AAFInput(*(rng.standard_normal((50, 12)) for _ in range(3)))
+        upstream = rng.standard_normal((50, 12))
+        tracemalloc.start()
+        try:
+            report = gradcheck(params, inp, upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert max(report.values()) < 1e-5
 
     def test_forward_body_broadcasts_over_a_batch_axis(self):
         rng = np.random.default_rng(61)

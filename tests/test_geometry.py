@@ -2,29 +2,23 @@ import numpy as np
 import pytest
 
 from fuse3d import (
-    BehindCamera,
     Box3D,
     DimensionMismatch,
     PointCloud,
-    back_project,
     bilinear_sample,
     crop_range,
     enlarge_box,
-    flip,
-    footprint_corners,
     gather_point_image_features,
-    intersection_area_bev,
     iou_3d,
     iou_bev,
     nms,
     points_in_box,
-    project_point,
     project_points,
     rotate_y,
     scale,
     wrap_angle,
 )
-from fuse3d.geometry import _footprints, _overlap_areas
+from fuse3d.geometry import _footprints, _intersection_area_bev, _overlap_areas
 from oracles import (
     brute_nms,
     clustered_boxes,
@@ -106,18 +100,20 @@ class TestTypes:
 
 class TestProjection:
     def test_identity_intrinsics(self):
-        u, v, d = project_point((1.0, 2.0, 4.0), IDENTITY_M)
-        assert (u, v, d) == (0.25, 0.5, 4.0)
+        us, vs, depth = project_points(np.array([[1.0, 2.0, 4.0]]), IDENTITY_M)
+        assert (us[0], vs[0], depth[0]) == (0.25, 0.5, 4.0)
 
     def test_behind_camera(self):
-        with pytest.raises(BehindCamera):
-            project_point((0.0, 0.0, -1.0), IDENTITY_M)
-        with pytest.raises(BehindCamera):
-            project_point((0.0, 0.0, 0.0), IDENTITY_M)
+        coords = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 4.0]])
+        us, vs, depth = project_points(coords, IDENTITY_M)
+        np.testing.assert_array_equal(depth, [-1.0, 0.0, 4.0])
+        assert np.isnan(us[:2]).all() and np.isnan(vs[:2]).all()
+        assert (us[2], vs[2]) == (0.25, 0.5)
 
     def test_focal_and_principal_point(self):
         m = np.array([[2.0, 0, 3, 0], [0, 2.0, 3, 0], [0, 0, 1.0, 0]])
-        assert project_point((1.0, 1.0, 2.0), m) == (4.0, 4.0, 2.0)
+        us, vs, depth = project_points(np.array([[1.0, 1.0, 2.0]]), m)
+        assert (us[0], vs[0], depth[0]) == (4.0, 4.0, 2.0)
 
     def test_vectorised_matches_one_row_calls(self):
         rng = np.random.default_rng(16)
@@ -127,25 +123,17 @@ class TestProjection:
         us, vs, depth = project_points(coords, m)
         assert (depth <= 0).any() and (depth > 0).any()
         for i, p in enumerate(coords):
-            if depth[i] <= 0:
+            (u,), (v,), (d,) = project_points(p[None], m)
+            assert d == depth[i]
+            if d <= 0:
+                assert np.isnan(u) and np.isnan(v)
                 assert np.isnan(us[i]) and np.isnan(vs[i])
-                with pytest.raises(BehindCamera):
-                    project_point(p, m)
             else:
-                assert project_point(p, m) == (us[i], vs[i], depth[i])
+                assert (u, v) == (us[i], vs[i])
 
     def test_points_shape_checked(self):
         with pytest.raises(DimensionMismatch):
             project_points(np.zeros((4, 2)), IDENTITY_M)
-
-    def test_back_projection_roundtrip(self):
-        rng = np.random.default_rng(10)
-        k = np.array([[700.0, 0, 620], [0, 700.0, 190], [0, 0, 1]])
-        m = np.hstack([k, np.zeros((3, 1))])
-        for _ in range(50):
-            p = rng.uniform([-10, -10, 0.5], [10, 10, 60])
-            u, v, d = project_point(p, m)
-            np.testing.assert_allclose(back_project(u, v, d, m), p, atol=1e-9)
 
 
 class TestBilinearSample:
@@ -276,7 +264,7 @@ class TestOverlapKernel:
         alone = np.array([_overlap_areas(corners_a[k:k + 1], corners_b[k:k + 1])[0]
                           for k in range(len(pairs))])
         assert np.array_equal(batched, alone)
-        one_pair = np.array([intersection_area_bev(a, b) for a, b in pairs])
+        one_pair = np.array([_intersection_area_bev(a, b) for a, b in pairs])
         assert np.array_equal(batched, one_pair)
         assert (batched > 0).sum() > 100  # many random pairs overlap
 
@@ -285,7 +273,7 @@ class TestOverlapKernel:
         boxes = [random_box(rng, center_spread=40.0) for _ in range(50)]
         corners = _footprints(boxes)[1]
         for box, row in zip(boxes, corners):
-            assert np.array_equal(footprint_corners(box), row)
+            assert np.array_equal(_footprints([box])[1][0], row)
 
     def test_degenerate_pairs(self):
         pairs = degenerate_pairs()
@@ -297,11 +285,11 @@ class TestOverlapKernel:
         for name in ("shared_short_edge", "shared_long_edge",
                      "half_shared_edge", "touching_corners"):
             a, b = pairs[name]
-            assert intersection_area_bev(a, b) == 0.0, name
+            assert _intersection_area_bev(a, b) == 0.0, name
             assert iou_bev(a, b) == 0.0 and iou_bev(b, a) == 0.0, name
             assert iou_3d(a, b) == 0.0, name
         a, b = pairs["nested"]
-        assert intersection_area_bev(a, b) == pytest.approx(0.5, rel=1e-12)
+        assert _intersection_area_bev(a, b) == pytest.approx(0.5, rel=1e-12)
         assert iou_bev(b, a) == pytest.approx(0.5 / (base.length * base.width),
                                               rel=1e-12)
 
@@ -319,7 +307,7 @@ class TestOverlapKernel:
         b = Box3D(np.array([3.0, 0.0, 7.0]), 1e-5, 1e-5, 1e-5, 0.4 + np.pi / 4)
         # two squares rotated by 45 degrees overlap in an octagon
         octagon = 2.0 * (np.sqrt(2.0) - 1.0) * 1e-10
-        assert intersection_area_bev(a, b) == pytest.approx(octagon, rel=1e-9)
+        assert _intersection_area_bev(a, b) == pytest.approx(octagon, rel=1e-9)
 
 
 class TestNms:
@@ -399,6 +387,11 @@ class TestBoxOps:
         with pytest.raises(ValueError):
             enlarge_box(unit_box(), -0.1)
 
+    @pytest.mark.parametrize("amount", [np.nan, np.inf])
+    def test_enlarge_rejects_nonfinite(self, amount):
+        with pytest.raises(ValueError, match="enlargement"):
+            enlarge_box(unit_box(), amount)
+
     def test_center_point_included(self):
         cloud = PointCloud(np.zeros((1, 3)))
         assert list(points_in_box(cloud, unit_box(yaw=0.7))) == [0]
@@ -468,16 +461,6 @@ class TestAugmentations:
     def test_scale_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             scale(PointCloud(np.zeros((1, 3))), 0.0)
-
-    def test_flip_is_involution_and_leaves_other_axes(self):
-        rng = np.random.default_rng(23)
-        cloud = PointCloud(rng.standard_normal((25, 3)))
-        once = flip(cloud, "x")
-        np.testing.assert_array_equal(once.coords[:, 0], -cloud.coords[:, 0])
-        np.testing.assert_array_equal(once.coords[:, 1:], cloud.coords[:, 1:])
-        np.testing.assert_array_equal(flip(once, "x").coords, cloud.coords)
-        with pytest.raises(ValueError):
-            flip(cloud, "y")
 
 
 class TestCropRange:

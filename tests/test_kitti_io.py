@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from fuse3d import (
-    Box3D,
     MissingKey,
     ParseError,
     PointCloud,
     TruncatedFile,
-    camera_box_to_lidar,
     read_calib,
     read_calib_components,
     read_labels,
@@ -134,7 +132,6 @@ class TestCalib:
         path.write_text(IDENTITY_CALIB)
         calib = read_calib_components(path)
         np.testing.assert_array_equal(calib.r0, np.eye(3))
-        np.testing.assert_array_equal(calib.rect_to_lidar, np.eye(4))
 
 
 CAR_LINE = ("Car 0.00 0 -1.58 587.01 173.33 614.12 200.12 "
@@ -195,24 +192,3 @@ class TestLabels:
         path.write_text(CAR_LINE + " 0.98\n")
         assert len(read_labels(path)) == 1
 
-
-class TestCameraBoxToLidar:
-    def test_identity_calib_keeps_center(self, tmp_path):
-        path = tmp_path / "calib.txt"
-        path.write_text(IDENTITY_CALIB)
-        calib = read_calib_components(path)
-        box = Box3D(np.array([1.0, 2.0, 3.0]), 4.0, 1.5, 1.8, 0.2)
-        out = camera_box_to_lidar(box, calib)
-        np.testing.assert_allclose(out.center, [1.0, 2.0, 3.0])
-        assert out.yaw == pytest.approx(-0.2 - np.pi / 2)
-        assert (out.length, out.height, out.width) == (4.0, 1.5, 1.8)
-
-    def test_translation_inverts(self, tmp_path):
-        tr_line = "Tr_velo_to_cam: 1 0 0 0.5 0 1 0 -0.3 0 0 1 2.0"
-        path = tmp_path / "calib.txt"
-        path.write_text(IDENTITY_CALIB.replace(
-            "Tr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 1 0", tr_line))
-        calib = read_calib_components(path)
-        box = Box3D(np.array([0.5, -0.3, 2.0]), 1.0, 1.0, 1.0, 0.0)
-        out = camera_box_to_lidar(box, calib)
-        np.testing.assert_allclose(out.center, [0.0, 0.0, 0.0], atol=1e-12)

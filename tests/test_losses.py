@@ -67,6 +67,13 @@ class TestFocalLoss:
         with pytest.raises(ValueError):
             FocalConfig(gamma=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", math.nan), ("gamma", math.nan), ("gamma", math.inf),
+    ])
+    def test_config_rejects_nonfinite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FocalConfig(**{field: value})
+
 
 class TestSmoothL1:
     def test_zero_at_match(self):
@@ -135,6 +142,11 @@ class TestBins:
             BinSpec(0.0, 12)
         with pytest.raises(ValueError):
             BinSpec(3.0, 1)
+
+    @pytest.mark.parametrize("half_range", [math.nan, math.inf])
+    def test_spec_rejects_nonfinite_range(self, half_range):
+        with pytest.raises(ValueError, match="half_range"):
+            BinSpec(half_range, 12)
 
 
 class TestBinCrossEntropy:

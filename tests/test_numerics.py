@@ -100,6 +100,31 @@ class TestFiniteDiffGrad:
                 scalar_finite_diff_grad(scalar, x, eps=1e-5),
             )
 
+    def test_blocks_of_at_most_128_entries(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((20, 15))
+        eps = 1e-5
+        calls = []
+
+        def scalar(v):
+            return float(np.tanh(v).sum())
+
+        def rows(stack):
+            calls.append(stack.copy())
+            return np.array([scalar(v) for v in stack])
+
+        grad = finite_diff_grad(rows, x, eps=eps)
+        assert [len(stack) for stack in calls] == [256, 256, 88]
+        for block, stack in enumerate(calls):
+            m = len(stack) // 2
+            for i in range(m):
+                plus, minus = x.copy(), x.copy()
+                plus.flat[128 * block + i] += eps
+                minus.flat[128 * block + i] -= eps
+                np.testing.assert_array_equal(stack[i], plus)
+                np.testing.assert_array_equal(stack[m + i], minus)
+        np.testing.assert_array_equal(grad, scalar_finite_diff_grad(scalar, x, eps=eps))
+
     def test_wrong_value_shape_raises(self):
         with pytest.raises(ValueError, match="expected \\(16,\\)"):
             finite_diff_grad(lambda s: s.sum(axis=1), np.ones((4, 2)), eps=1e-4)
