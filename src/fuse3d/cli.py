@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -116,16 +117,17 @@ def _float_list(raw: str) -> list[float]:
     return [float(v) for v in raw.split(",")]
 
 
-def _add_run_config_args(parser) -> None:
+def _add_run_config_args(parser, keys) -> None:
+    """``--config`` plus one override flag per config key the command reads."""
     parser.add_argument("--config", metavar="PATH",
                         help="key = value configuration file")
-    for field in dataclasses.fields(RunConfig):
+    for key in keys:
         parser.add_argument(
-            "--" + field.name.replace("_", "-"),
-            dest=f"cfg_{field.name}",
+            "--" + key.replace("_", "-"),
+            dest=f"cfg_{key}",
             metavar="VALUE",
             default=None,
-            help=f"override config key {field.name}",
+            help=f"override config key {key}",
         )
 
 
@@ -254,6 +256,10 @@ def cmd_sample_study(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _resolve_run_config(args)
+    if not 0.0 < args.tolerance < math.inf:
+        raise _UsageError(
+            f"tolerance must be positive and finite, got {args.tolerance}"
+        )
     report = run_gradcheck(
         seed=subsystem_seed(cfg.seed, "params"),
         trials=args.trials,
@@ -270,6 +276,9 @@ def cmd_gradcheck(args) -> int:
 def cmd_project(args) -> int:
     if (args.image_width is None) != (args.image_height is None):
         raise _UsageError("--image-width and --image-height go together")
+    if args.image_width is not None and min(args.image_width,
+                                            args.image_height) < 1:
+        raise _UsageError("--image-width and --image-height must be >= 1")
     cloud = read_point_cloud_bin(args.cloud)
     us, vs, depth = project_points(cloud.coords, read_calib(args.calib))
     if args.image_width is not None:
@@ -303,6 +312,10 @@ def _jittered_proposals(boxes, per_box: int, rng) -> list[Proposal]:
 
 def cmd_roi_demo(args) -> int:
     cfg = _resolve_run_config(args)
+    if args.proposals_per_box < 1:
+        raise _UsageError(
+            f"proposals_per_box must be >= 1, got {args.proposals_per_box}"
+        )
     cloud, _, boxes = generate_scene(_scene_from_args(args))
     n = len(cloud)
     feat_rng = np.random.default_rng(subsystem_seed(cfg.seed, "params"))
@@ -421,14 +434,14 @@ def _build_parser() -> _ArgumentParser:
                                        "(uniform 0.5 when omitted)")
     p.add_argument("--n", type=int, default=256, help="sample size")
     p.add_argument("--seed-index", type=int, default=0, help="FPS start index")
-    p.add_argument("--lambdas", type=_float_list, default=None,
-                   help=f"comma-separated factors (default {_DEFAULT_LAMBDAS})")
+    p.add_argument("--lambdas", type=_float_list, default=_DEFAULT_LAMBDAS,
+                   help="comma-separated factors (default %(default)s)")
     p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
     p.set_defaults(func=cmd_sample_study)
 
     p = sub.add_parser("gradcheck",
                        help="fusion backward vs finite differences")
-    _add_run_config_args(p)
+    _add_run_config_args(p, ("seed",))
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-points", type=int, default=4)
     p.add_argument("--max-channels", type=int, default=3)
@@ -447,14 +460,16 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("roi-demo",
                        help="proposal selection and RoI pooling summary")
-    _add_run_config_args(p)
+    _add_run_config_args(p, ("seed", "nms_threshold", "pre_nms_top",
+                             "proposals_keep", "enlarge", "roi_points"))
     _add_scene_args(p)
     p.add_argument("--proposals-per-box", type=int, default=16)
     p.add_argument("--out", default="-", help="output JSON path ('-' = stdout)")
     p.set_defaults(func=cmd_roi_demo)
 
     p = sub.add_parser("loss-eval", help="evaluate loss terms on a fixture")
-    _add_run_config_args(p)
+    _add_run_config_args(p, ("focal_alpha", "focal_gamma", "bin_half_range",
+                             "bin_count_xz", "bin_count_yaw"))
     p.add_argument("--fixture", required=True, help="fixture JSON path")
     p.add_argument("--out", default="-", help="output JSON path ('-' = stdout)")
     p.set_defaults(func=cmd_loss_eval)
@@ -468,8 +483,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.command == "sample-study" and args.lambdas is None:
-        args.lambdas = _float_list(_DEFAULT_LAMBDAS)
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -1,10 +1,9 @@
 """Run configuration and its flat key = value file format.
 
-The defaults are the pipeline's standard operating constants: crop
-window, input point budget, per-layer sample counts, the oversample
-factor, NMS and proposal caps, RoI enlargement and point budget, focal
-constants, and the bin layout. ``parse_config(render_config(cfg))``
-round-trips exactly.
+The defaults are the pipeline's standard operating constants: NMS and
+proposal caps, RoI enlargement and point budget, focal constants, the
+bin layout and the global seed. Every key is read by some command.
+``parse_config(render_config(cfg))`` round-trips exactly.
 """
 
 from __future__ import annotations
@@ -17,20 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .losses import BinConfig, BinSpec, FocalConfig
+from .losses import BinConfig, BinSpec
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    crop_x_min: float = 0.0
-    crop_x_max: float = 70.4
-    crop_y_min: float = -40.0
-    crop_y_max: float = 40.0
-    crop_z_min: float = -3.0
-    crop_z_max: float = 1.0
-    num_points: int = 16384
-    sa_samples: tuple[int, ...] = (4096, 1024, 256, 64)
-    sampler_lambda: float = 1.4
     nms_threshold: float = 0.8
     pre_nms_top: int = 8000
     proposals_keep: int = 64
@@ -43,21 +33,11 @@ class RunConfig:
     bin_count_yaw: int = 12
     seed: int = 0
 
-    def focal_config(self) -> FocalConfig:
-        return FocalConfig(alpha=self.focal_alpha, gamma=self.focal_gamma)
-
     def bin_config(self) -> BinConfig:
         return BinConfig(
             x=BinSpec(self.bin_half_range, self.bin_count_xz),
             z=BinSpec(self.bin_half_range, self.bin_count_xz),
             yaw=BinSpec(math.pi, self.bin_count_yaw, wrap=True),
-        )
-
-    def crop_ranges(self):
-        return (
-            (self.crop_x_min, self.crop_x_max),
-            (self.crop_y_min, self.crop_y_max),
-            (self.crop_z_min, self.crop_z_max),
         )
 
 
@@ -66,27 +46,14 @@ def validate_config(cfg: RunConfig) -> None:
 
     Each check is phrased so that NaN fails it.
     """
-    for lo, hi, name in (
-        (cfg.crop_x_min, cfg.crop_x_max, "x"),
-        (cfg.crop_y_min, cfg.crop_y_max, "y"),
-        (cfg.crop_z_min, cfg.crop_z_max, "z"),
-    ):
-        if not lo < hi:
-            raise ValueError(f"crop {name} range ({lo}, {hi}) is empty")
-    if cfg.num_points < 1 or cfg.roi_points < 1:
-        raise ValueError("point budgets must be positive")
-    if any(s < 1 for s in cfg.sa_samples):
-        raise ValueError("sa_samples must be positive")
-    if not 1.0 <= cfg.sampler_lambda < math.inf:
-        raise ValueError(
-            f"sampler_lambda must be finite and >= 1, got {cfg.sampler_lambda}"
-        )
     if not 0.0 <= cfg.nms_threshold <= 1.0:
         raise ValueError(f"nms_threshold must be in [0, 1], got {cfg.nms_threshold}")
     if cfg.pre_nms_top < 1 or cfg.proposals_keep < 1:
         raise ValueError("proposal caps must be positive")
     if not 0.0 <= cfg.enlarge < math.inf:
         raise ValueError(f"enlarge must be finite and >= 0, got {cfg.enlarge}")
+    if cfg.roi_points < 1:
+        raise ValueError(f"roi_points must be >= 1, got {cfg.roi_points}")
     if not 0.0 < cfg.focal_alpha < 1.0:
         raise ValueError(f"focal_alpha must be in (0, 1), got {cfg.focal_alpha}")
     if not 0.0 <= cfg.focal_gamma < math.inf:
@@ -101,19 +68,14 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
 def parse_field_value(field: dataclasses.Field, raw: str):
-    default = field.default
     try:
-        if isinstance(default, tuple):
-            return tuple(int(v.strip()) for v in raw.split(","))
-        if isinstance(default, float):
+        if isinstance(field.default, float):
             return float(raw)
         return int(raw)
     except ValueError as exc:

@@ -307,8 +307,11 @@ def load_params(path) -> AAFParams:
     )
 
 
-def relative_error(a, b, floor: float = 1e-4) -> float:
-    """Max elementwise |a - b| / max(|a|, |b|, floor).
+_REL_ERR_FLOOR = 1e-4
+
+
+def relative_error(a, b) -> float:
+    """Max elementwise |a - b| / max(|a|, |b|, _REL_ERR_FLOOR).
 
     The floor keeps the metric meaningful for near-zero entries, where
     finite differences bottom out at their own noise level (~1e-12 for
@@ -320,7 +323,7 @@ def relative_error(a, b, floor: float = 1e-4) -> float:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
     if a.size == 0:
         return 0.0
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), _REL_ERR_FLOOR)
     return float((np.abs(a - b) / denom).max())
 
 

@@ -165,15 +165,12 @@ def hybrid_sample(
     return selected
 
 
-def aad(
-    cloud: PointCloud, sampled, squared: bool = True
-) -> tuple[np.ndarray, float]:
+def aad(cloud: PointCloud, sampled) -> tuple[np.ndarray, float]:
     """Average aggregation distance of a sampled subset.
 
     For each sampled point, the mean over its three nearest other
     sampled points of the squared Euclidean distance (the literal
-    definition; pass ``squared=False`` for the plain-distance variant).
-    Lower values mean a more clustered sample.
+    definition). Lower values mean a more clustered sample.
 
     Distances are computed ``_AAD_CHUNK`` rows at a time, so working
     memory is O(_AAD_CHUNK * k) for k sampled points.
@@ -206,8 +203,6 @@ def aad(
         d2[rows, lo + rows] = np.inf
         d2.partition(2, axis=1)
         nearest[lo:lo + len(block)] = d2[:, :3]
-    if not squared:
-        nearest = np.sqrt(nearest)
     per_point = nearest.mean(axis=1)
     return per_point, float(per_point.mean())
 

@@ -8,6 +8,7 @@ deterministic per seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,11 @@ class SyntheticSceneSpec:
             raise ValueError("cluster counts must be positive")
         if self.background_points < 1:
             raise ValueError("background_points must be positive")
-        if self.cluster_radius <= 0 or self.background_extent <= 0:
-            raise ValueError("extents must be positive")
+        # phrased so that NaN, which fails every comparison, is rejected
+        for name in ("cluster_radius", "background_extent"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 <= self.attention_contrast < 1.0:
             raise ValueError(
                 f"attention_contrast must be in [0, 1), got "

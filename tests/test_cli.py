@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import struct
 
 import numpy as np
@@ -43,6 +44,19 @@ class TestGenScene:
         boxes = json.loads((out / "boxes.json").read_text())
         assert len(boxes["boxes"]) == 2
         assert boxes["spec"]["num_clusters"] == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--background-extent", "nan"), ("--background-extent", "inf"),
+        ("--cluster-radius", "inf"),
+    ])
+    def test_nonfinite_extent_is_usage_error(self, tmp_path, capsys, flag,
+                                             value):
+        out = tmp_path / "scene"
+        assert main(["gen-scene", "--outdir", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert flag[2:].replace("-", "_") in err
+        assert not out.exists()
 
 
 class TestSampleStudy:
@@ -128,6 +142,12 @@ class TestSampleStudy:
                      "--n", "1", "--lambdas", "1.0"]) == 2
         assert str(cloud_path) in capsys.readouterr().err
 
+    def test_default_lambdas(self, tmp_path):
+        out = tmp_path / "study.csv"
+        assert main(["sample-study", "--n", "64", "--out", str(out)]) == 0
+        assert [r[0] for r in read_csv(out)[1:]] == [
+            "1.0", "1.2", "1.4", "1.6", "2.0"]
+
     @pytest.mark.parametrize("with_attention", [False, True])
     def test_empty_cloud_is_data_error(self, tmp_path, capsys, with_attention):
         cloud_path = tmp_path / "empty.bin"
@@ -170,6 +190,10 @@ class TestGradcheck:
         (["--trials", "-3"], "trials"),
         (["--max-points", "0"], "max_points"),
         (["--max-channels", "0"], "max_channels"),
+        (["--tolerance", "nan"], "tolerance"),
+        (["--tolerance", "inf"], "tolerance"),
+        (["--tolerance", "0"], "tolerance"),
+        (["--tolerance", "-0.5"], "tolerance"),
     ])
     def test_bad_argument_is_usage_error(self, tmp_path, capsys, flags, named):
         out = tmp_path / "g.json"
@@ -219,6 +243,21 @@ class TestProject:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("width, height", [("-5", "-5"), ("0", "10"),
+                                               ("10", "0")])
+    def test_image_bound_below_one_is_usage_error(self, tmp_path, capsys,
+                                                  width, height):
+        cloud_path = tmp_path / "cloud.bin"
+        cloud_path.write_bytes(struct.pack("<4f", 0.0, 0.0, 1.0, 0.0))
+        calib_path = tmp_path / "calib.txt"
+        calib_path.write_text(IDENTITY_CALIB)
+        out = tmp_path / "proj.csv"
+        assert main(["project", "--cloud", str(cloud_path),
+                     "--calib", str(calib_path), "--image-width", width,
+                     "--image-height", height, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
     def test_missing_cloud_is_data_error(self, tmp_path):
         calib_path = tmp_path / "calib.txt"
         calib_path.write_text(IDENTITY_CALIB)
@@ -265,6 +304,16 @@ class TestRoiDemo:
             assert 0 <= entry["valid_count"] <= summary["roi_points"]
         # proposals overlap the dense clusters, so some RoIs must be occupied
         assert any(e["valid_count"] > 0 for e in summary["selected"])
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_proposals_per_box_below_one_is_usage_error(self, tmp_path,
+                                                        capsys, count):
+        out = tmp_path / "roi.json"
+        assert main(["roi-demo", "--proposals-per-box", count,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "proposals_per_box" in err
+        assert not out.exists()
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -354,19 +403,66 @@ class TestConfigHandling:
         ("--focal-gamma", "nan", "focal_gamma"),
         ("--bin-half-range", "nan", "bin_half_range"),
         ("--bin-half-range", "inf", "bin_half_range"),
-        ("--sampler-lambda", "nan", "sampler_lambda"),
         ("--enlarge", "nan", "enlarge"),
+        ("--enlarge", "inf", "enlarge"),
     ])
     def test_nonfinite_config_value_is_usage_error(self, tmp_path, capsys,
                                                    flag, value, key):
         fixture = tmp_path / "fixture.json"
         fixture.write_text(json.dumps(TestLossEval.fixture_payload()))
-        out = tmp_path / "losses.json"
-        assert main(["loss-eval", "--fixture", str(fixture), flag, value,
-                     "--out", str(out)]) == 1
+        out = tmp_path / "report.json"
+        # enlarge is read by roi-demo, the others by loss-eval
+        command = (["roi-demo"] if key == "enlarge"
+                   else ["loss-eval", "--fixture", str(fixture)])
+        assert main([*command, flag, value, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and key in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command, keys", [
+        ("gradcheck", ["seed"]),
+        ("roi-demo", ["seed", "nms_threshold", "pre_nms_top",
+                      "proposals_keep", "enlarge", "roi_points"]),
+        ("loss-eval", ["focal_alpha", "focal_gamma", "bin_half_range",
+                       "bin_count_xz", "bin_count_yaw"]),
+    ])
+    def test_help_lists_only_the_keys_read(self, capsys, command, keys):
+        assert main([command, "--help"]) == 0
+        listed = re.findall(r"override config key (\w+)",
+                            capsys.readouterr().out)
+        assert listed == keys
+
+    @pytest.mark.parametrize("argv", [
+        ["loss-eval", "--enlarge", "0.3"],
+        ["gradcheck", "--crop-x-min", "5"],
+        ["gradcheck", "--nms-threshold", "0.5"],
+        ["roi-demo", "--focal-gamma", "1.0"],
+    ])
+    def test_flag_of_unread_key_is_rejected(self, tmp_path, capsys, argv):
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(TestLossEval.fixture_payload()))
+        out = tmp_path / "report.json"
+        extra = ["--fixture", str(fixture)] if argv[0] == "loss-eval" else []
+        assert main([*argv, *extra, "--out", str(out)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_may_set_keys_the_command_ignores(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("enlarge = 0.3\nseed = 4\n")
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["gradcheck", "--trials", "3", "--config", str(cfg),
+                     "--out", str(a)]) == 0
+        assert main(["gradcheck", "--trials", "3", "--seed", "4",
+                     "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_config_file_is_validated_in_full(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("enlarge = nan\n")
+        assert main(["gradcheck", "--trials", "3", "--config", str(cfg)]) == 1
+        assert "enlarge" in capsys.readouterr().err
 
 
 class TestExitCodes:

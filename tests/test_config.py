@@ -19,16 +19,20 @@ from fuse3d import (
 class TestDefaults:
     def test_operating_constants(self):
         cfg = RunConfig()
-        assert cfg.crop_ranges() == ((0.0, 70.4), (-40.0, 40.0), (-3.0, 1.0))
-        assert cfg.num_points == 16384
-        assert cfg.sa_samples == (4096, 1024, 256, 64)
-        assert cfg.sampler_lambda == 1.4
         assert cfg.nms_threshold == 0.8
         assert (cfg.pre_nms_top, cfg.proposals_keep) == (8000, 64)
         assert cfg.enlarge == 0.2
         assert cfg.roi_points == 512
         assert (cfg.focal_alpha, cfg.focal_gamma) == (0.25, 2.0)
+        assert cfg.seed == 0
         validate_config(cfg)
+
+    def test_eleven_keys(self):
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "nms_threshold", "pre_nms_top", "proposals_keep", "enlarge",
+            "roi_points", "focal_alpha", "focal_gamma", "bin_half_range",
+            "bin_count_xz", "bin_count_yaw", "seed",
+        ]
 
     def test_bin_config_layout(self):
         bins = RunConfig().bin_config()
@@ -43,9 +47,9 @@ class TestRoundTrip:
         assert parse_config(render_config(cfg)) == cfg
 
     def test_modified_config(self):
-        cfg = dataclasses.replace(RunConfig(), sampler_lambda=1.7,
-                                  sa_samples=(2048, 512), seed=99,
-                                  crop_x_max=51.2)
+        cfg = dataclasses.replace(RunConfig(), nms_threshold=0.7,
+                                  pre_nms_top=2048, seed=99,
+                                  bin_half_range=51.2)
         assert parse_config(render_config(cfg)) == cfg
 
     def test_file_roundtrip(self, tmp_path):
@@ -55,9 +59,9 @@ class TestRoundTrip:
         assert load_config(path) == cfg
 
     def test_comments_and_blanks_ignored(self):
-        text = "# study setup\n\nsampler_lambda = 2.0  # roomy\nseed = 5\n"
+        text = "# study setup\n\nenlarge = 0.5  # roomy\nseed = 5\n"
         cfg = parse_config(text)
-        assert cfg.sampler_lambda == 2.0
+        assert cfg.enlarge == 0.5
         assert cfg.seed == 5
         assert cfg.nms_threshold == 0.8  # untouched default
 
@@ -67,33 +71,24 @@ class TestRoundTrip:
 
     def test_bad_value_rejected(self):
         with pytest.raises(ParseError):
-            parse_config("num_points = many\n")
+            parse_config("roi_points = many\n")
         with pytest.raises(ParseError):
             parse_config("just a line\n")
 
 
 class TestValidation:
-    def test_empty_crop_rejected(self):
-        cfg = dataclasses.replace(RunConfig(), crop_x_min=5.0, crop_x_max=5.0)
-        with pytest.raises(ValueError):
-            validate_config(cfg)
-
-    def test_bad_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            validate_config(dataclasses.replace(RunConfig(), sampler_lambda=0.5))
-
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
             validate_config(dataclasses.replace(RunConfig(), nms_threshold=1.5))
 
     @pytest.mark.parametrize("key, value", [
-        ("sampler_lambda", math.nan), ("sampler_lambda", math.inf),
         ("nms_threshold", math.nan),
         ("enlarge", math.nan), ("enlarge", math.inf),
         ("focal_alpha", math.nan),
         ("focal_gamma", math.nan), ("focal_gamma", math.inf),
         ("bin_half_range", math.nan), ("bin_half_range", math.inf),
         ("bin_count_yaw", 1),
+        ("roi_points", 0),
     ])
     def test_bad_value_rejected_by_key(self, key, value):
         with pytest.raises(ValueError, match=key):

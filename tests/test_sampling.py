@@ -202,14 +202,6 @@ class TestAad:
         _, after = aad(moved, idx)
         assert after == pytest.approx(base, rel=1e-9)
 
-    def test_sqrt_variant(self):
-        corners = np.array([
-            [0.0, 0, 0], [1.0, 0, 0], [0.0, 0, 1], [1.0, 0, 1],
-        ])
-        per_point, _ = aad(PointCloud(corners), [0, 1, 2, 3], squared=False)
-        np.testing.assert_allclose(per_point, (2.0 + np.sqrt(2.0)) / 3.0,
-                                   atol=1e-12)
-
     def test_too_few_points(self):
         cloud = make_cloud(np.random.default_rng(42), 10)
         with pytest.raises(TooFewPoints):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,9 @@ class TestSyntheticScene:
             SyntheticSceneSpec(attention_contrast=1.0)
         with pytest.raises(ValueError):
             SyntheticSceneSpec(cluster_radius=0.0)
+
+    @pytest.mark.parametrize("field", ["cluster_radius", "background_extent"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_extent_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SyntheticSceneSpec(**{field: value})
