@@ -13,8 +13,6 @@ from .config import (
     RunConfig,
     load_config,
     parse_config,
-    render_config,
-    save_config,
     subsystem_seed,
     validate_config,
 )

@@ -17,6 +17,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -24,14 +25,12 @@ import numpy as np
 
 from .config import (
     RunConfig,
-    parse_field_value,
     load_config,
     subsystem_seed,
     validate_config,
 )
 from .errors import (
     MissingKey,
-    OutOfRange,
     ParseError,
     TruncatedFile,
 )
@@ -53,11 +52,14 @@ from .scene import SyntheticSceneSpec, generate_scene
 _DEFAULT_LAMBDAS = "1.0,1.2,1.4,1.6,2.0"
 
 
-class _UsageError(Exception):
-    """Bad flags or configuration; maps to exit code 1."""
-
-
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponents, so "--eps -1e-5" would
+        # read "-1e-5" as an unknown option instead of a value
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits 2 on usage errors; the contract here is 1
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -114,17 +116,34 @@ def _box_from_json(obj, name: str) -> Box3D:
 
 
 def _float_list(raw: str) -> list[float]:
-    return [float(v) for v in raw.split(",")]
+    try:
+        return [float(v) for v in raw.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of numbers, got {raw!r}"
+        ) from None
+
+
+def _flag_values(args, cls, prefix: str) -> dict:
+    """The ``cls`` fields given on the command line as ``{prefix}_{name}``."""
+    values = {}
+    for field in dataclasses.fields(cls):
+        value = getattr(args, f"{prefix}_{field.name}", None)
+        if value is not None:
+            values[field.name] = value
+    return values
 
 
 def _add_run_config_args(parser, keys) -> None:
     """``--config`` plus one override flag per config key the command reads."""
     parser.add_argument("--config", metavar="PATH",
                         help="key = value configuration file")
+    defaults = RunConfig()
     for key in keys:
         parser.add_argument(
             "--" + key.replace("_", "-"),
             dest=f"cfg_{key}",
+            type=type(getattr(defaults, key)),
             metavar="VALUE",
             default=None,
             help=f"override config key {key}",
@@ -133,20 +152,8 @@ def _add_run_config_args(parser, keys) -> None:
 
 def _resolve_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    for field in dataclasses.fields(RunConfig):
-        raw = getattr(args, f"cfg_{field.name}", None)
-        if raw is not None:
-            try:
-                overrides[field.name] = parse_field_value(field, raw)
-            except ParseError as exc:
-                raise _UsageError(str(exc)) from None
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    try:
-        validate_config(cfg)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    cfg = dataclasses.replace(cfg, **_flag_values(args, RunConfig, "cfg"))
+    validate_config(cfg)
     return cfg
 
 
@@ -164,15 +171,7 @@ def _add_scene_args(parser) -> None:
 
 
 def _scene_from_args(args) -> SyntheticSceneSpec:
-    kwargs = {}
-    for field in dataclasses.fields(SyntheticSceneSpec):
-        value = getattr(args, f"scene_{field.name}", None)
-        if value is not None:
-            kwargs[field.name] = value
-    try:
-        return SyntheticSceneSpec(**kwargs)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return SyntheticSceneSpec(**_flag_values(args, SyntheticSceneSpec, "scene"))
 
 
 def _read_attention_csv(path) -> np.ndarray:
@@ -222,7 +221,7 @@ def cmd_gen_scene(args) -> int:
 
 def _study_inputs(args):
     if args.attention is not None and args.cloud is None:
-        raise _UsageError("--attention needs --cloud")
+        raise ValueError("--attention needs --cloud")
     if args.cloud:
         cloud = read_point_cloud_bin(args.cloud)
         if len(cloud) == 0:
@@ -257,7 +256,7 @@ def cmd_sample_study(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = _resolve_run_config(args)
     if not 0.0 < args.tolerance < math.inf:
-        raise _UsageError(
+        raise ValueError(
             f"tolerance must be positive and finite, got {args.tolerance}"
         )
     report = run_gradcheck(
@@ -275,10 +274,10 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_project(args) -> int:
     if (args.image_width is None) != (args.image_height is None):
-        raise _UsageError("--image-width and --image-height go together")
+        raise ValueError("--image-width and --image-height go together")
     if args.image_width is not None and min(args.image_width,
                                             args.image_height) < 1:
-        raise _UsageError("--image-width and --image-height must be >= 1")
+        raise ValueError("--image-width and --image-height must be >= 1")
     cloud = read_point_cloud_bin(args.cloud)
     us, vs, depth = project_points(cloud.coords, read_calib(args.calib))
     if args.image_width is not None:
@@ -313,7 +312,7 @@ def _jittered_proposals(boxes, per_box: int, rng) -> list[Proposal]:
 def cmd_roi_demo(args) -> int:
     cfg = _resolve_run_config(args)
     if args.proposals_per_box < 1:
-        raise _UsageError(
+        raise ValueError(
             f"proposals_per_box must be >= 1, got {args.proposals_per_box}"
         )
     cloud, _, boxes = generate_scene(_scene_from_args(args))
@@ -360,15 +359,25 @@ def cmd_roi_demo(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def cmd_loss_eval(args) -> int:
     cfg = _resolve_run_config(args)
     try:
-        fixture = json.loads(Path(args.fixture).read_text())
-    except json.JSONDecodeError as exc:
+        # json reads NaN, Infinity and overflowing literals as floats
+        fixture = json.loads(Path(args.fixture).read_text(),
+                             parse_float=_finite_float,
+                             parse_constant=_finite_float)
+    except ValueError as exc:  # JSONDecodeError is one
         raise ParseError(f"{args.fixture}: {exc}") from None
     try:
         report = _evaluate_losses(fixture, cfg)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{args.fixture}: {exc}") from None
     _write_text(args.out, _json_text(report))
     return 0
@@ -485,10 +494,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (TruncatedFile, MissingKey, ParseError, OutOfRange, OSError) as exc:
+    except (TruncatedFile, MissingKey, ParseError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -1,9 +1,8 @@
-"""Run configuration and its flat key = value file format.
+"""Run configuration and the flat key = value file it is read from.
 
 The defaults are the pipeline's standard operating constants: NMS and
 proposal caps, RoI enlargement and point budget, focal constants, the
 bin layout and the global seed. Every key is read by some command.
-``parse_config(render_config(cfg))`` round-trips exactly.
 """
 
 from __future__ import annotations
@@ -67,37 +66,13 @@ def validate_config(cfg: RunConfig) -> None:
             raise ValueError(f"{key} must be >= 2, got {getattr(cfg, key)}")
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def parse_field_value(field: dataclasses.Field, raw: str):
-    try:
-        if isinstance(field.default, float):
-            return float(raw)
-        return int(raw)
-    except ValueError as exc:
-        raise ParseError(f"bad value for {field.name}: {raw!r} ({exc})") from None
-
-
-def render_config(cfg: RunConfig) -> str:
-    """One ``key = value`` line per field; floats rendered round-trip."""
-    lines = [
-        f"{f.name} = {_format_value(getattr(cfg, f.name))}"
-        for f in dataclasses.fields(cfg)
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse ``key = value`` lines; '#' starts a comment, blanks skipped.
 
     Unknown keys and malformed values raise ParseError. Missing keys
     keep their defaults.
     """
-    field_map = {f.name: f for f in dataclasses.fields(RunConfig)}
+    types = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
     values = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -107,18 +82,20 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError(f"line {line_no}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in field_map:
+        if key not in types:
             raise ParseError(f"line {line_no}: unknown key {key!r}")
-        values[key] = parse_field_value(field_map[key], value.strip())
+        value = value.strip()
+        try:
+            values[key] = types[key](value)
+        except ValueError as exc:
+            raise ParseError(
+                f"line {line_no}: bad value for {key}: {value!r} ({exc})"
+            ) from None
     return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:
     return parse_config(Path(path).read_text())
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    Path(path).write_text(render_config(cfg))
 
 
 # Subsystems draw independent seeds from the global one, so a component

@@ -187,7 +187,10 @@ class RegressionPrediction:
 
     def __post_init__(self):
         for name in ("logits_x", "logits_z", "logits_yaw", "residuals"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
+            setattr(self, name, value)
         if self.residuals.shape != (7,):
             raise DimensionMismatch(
                 f"residuals must have shape (7,), got {self.residuals.shape}"

@@ -105,6 +105,14 @@ class TestSampleStudy:
     def test_bad_lambda_is_usage_error(self, tmp_path):
         assert main(["sample-study", "--n", "64", "--lambdas", "0.5"]) == 1
 
+    @pytest.mark.parametrize("lambdas", [",", "1.0,x", ""])
+    def test_malformed_lambda_list_is_usage_error(self, capsys, lambdas):
+        assert main(["sample-study", "--lambdas", lambdas]) == 1
+        err = capsys.readouterr().err
+        assert "argument --lambdas: expected a comma-separated list of " \
+               "numbers" in err
+        assert "_float_list" not in err
+
     def test_attention_without_cloud_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "study.csv"
         assert main(["sample-study", "--attention", str(tmp_path / "none.csv"),
@@ -194,6 +202,9 @@ class TestGradcheck:
         (["--tolerance", "inf"], "tolerance"),
         (["--tolerance", "0"], "tolerance"),
         (["--tolerance", "-0.5"], "tolerance"),
+        (["--tolerance", "-1e-5"], "tolerance"),
+        (["--tolerance", "-2.5E+1"], "tolerance"),
+        (["--eps", "-1e-5"], "eps"),
     ])
     def test_bad_argument_is_usage_error(self, tmp_path, capsys, flags, named):
         out = tmp_path / "g.json"
@@ -378,6 +389,29 @@ class TestLossEval:
         fixture.write_text(json.dumps(payload))
         assert main(["loss-eval", "--fixture", str(fixture)]) == 2
 
+    @pytest.mark.parametrize("key, index, literal", [
+        ("logits_x", 0, "NaN"),
+        ("pred_residuals", 2, "Infinity"),
+        ("stages", "rcnn_reg", "-Infinity"),
+        ("stages", "rpn_cls", "1e999"),
+        ("gt_box", "yaw", "1" + "0" * 400),
+    ], ids=["nan", "inf", "-inf", "float-overflow", "int-overflow"])
+    def test_nonfinite_fixture_number_is_data_error(self, tmp_path, capsys,
+                                                    key, index, literal):
+        payload = self.fixture_payload()
+        if index is None:
+            payload[key] = "@"
+        else:
+            payload[key][index] = "@"
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(payload).replace('"@"', literal))
+        out = tmp_path / "losses.json"
+        assert main(["loss-eval", "--fixture", str(fixture),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(fixture) in err
+        assert not out.exists()
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
@@ -395,6 +429,20 @@ class TestConfigHandling:
 
     def test_bad_override_value_is_usage_error(self):
         assert main(["gradcheck", "--seed", "not-an-int"]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["roi-demo", "--nms-threshold", "abc"],
+         "argument --nms-threshold: invalid float value: 'abc'"),
+        (["gradcheck", "--seed", "1.5"],
+         "argument --seed: invalid int value: '1.5'"),
+        (["roi-demo", "--seed", "-1e3"],
+         "argument --seed: invalid int value: '-1e3'"),
+        (["loss-eval", "--fixture", "f.json", "--bin-count-xz", "12.0"],
+         "argument --bin-count-xz: invalid int value: '12.0'"),
+    ])
+    def test_malformed_typed_flag_names_the_flag(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
 
     def test_invalid_config_value_is_usage_error(self):
         assert main(["roi-demo", "--nms-threshold", "2.0"]) == 1

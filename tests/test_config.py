@@ -9,8 +9,6 @@ from fuse3d import (
     RunConfig,
     load_config,
     parse_config,
-    render_config,
-    save_config,
     subsystem_seed,
     validate_config,
 )
@@ -42,21 +40,24 @@ class TestDefaults:
 
 
 class TestRoundTrip:
-    def test_default_config(self):
-        cfg = RunConfig()
-        assert parse_config(render_config(cfg)) == cfg
+    """Reading ``key = value`` text into a RunConfig."""
 
     def test_modified_config(self):
-        cfg = dataclasses.replace(RunConfig(), nms_threshold=0.7,
-                                  pre_nms_top=2048, seed=99,
-                                  bin_half_range=51.2)
-        assert parse_config(render_config(cfg)) == cfg
+        cfg = parse_config("nms_threshold = 0.7\npre_nms_top = 2048\n"
+                           "bin_half_range = 51.2\nseed = 99\n")
+        assert cfg == dataclasses.replace(
+            RunConfig(), nms_threshold=0.7, pre_nms_top=2048,
+            bin_half_range=51.2, seed=99)
+        assert type(cfg.pre_nms_top) is int and type(cfg.seed) is int
+        assert type(cfg.nms_threshold) is float
 
     def test_file_roundtrip(self, tmp_path):
-        cfg = dataclasses.replace(RunConfig(), enlarge=0.35)
         path = tmp_path / "run.cfg"
-        save_config(cfg, path)
-        assert load_config(path) == cfg
+        path.write_text("enlarge = 1e-1\nroi_points = 256\n")
+        cfg = load_config(path)
+        assert cfg == dataclasses.replace(RunConfig(), enlarge=0.1,
+                                          roi_points=256)
+        assert type(cfg.roi_points) is int and type(cfg.enlarge) is float
 
     def test_comments_and_blanks_ignored(self):
         text = "# study setup\n\nenlarge = 0.5  # roomy\nseed = 5\n"
@@ -70,8 +71,10 @@ class TestRoundTrip:
             parse_config("not_a_key = 3\n")
 
     def test_bad_value_rejected(self):
-        with pytest.raises(ParseError):
-            parse_config("roi_points = many\n")
+        with pytest.raises(ParseError, match="line 2: bad value for roi_points"):
+            parse_config("seed = 1\nroi_points = many\n")
+        with pytest.raises(ParseError, match="seed"):
+            parse_config("seed = 1.5\n")
         with pytest.raises(ParseError):
             parse_config("just a line\n")
 

@@ -1,8 +1,8 @@
 """Every RunConfig key is read by some code in the library.
 
 A key counts as read when an attribute of that name is loaded somewhere
-in ``src/fuse3d/*.py`` outside ``validate_config`` and the (de)serialising
-functions. Reads inside a ``RunConfig`` method count only when that
+in ``src/fuse3d/*.py`` outside ``validate_config`` and the config file
+parser. Reads inside a ``RunConfig`` method count only when that
 method is itself called from outside the class. The check goes by
 attribute name, so a same-named attribute of another class also counts:
 it can miss an unread key, but never flags a read one.
@@ -15,8 +15,7 @@ from pathlib import Path
 from fuse3d import RunConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fuse3d"
-NOT_A_READ = {"validate_config", "render_config", "parse_config",
-              "_format_value", "parse_field_value"}
+NOT_A_READ = {"validate_config", "parse_config"}
 
 
 def _loads(node):

@@ -311,6 +311,16 @@ class TestRegressionLoss:
         with pytest.raises(DimensionMismatch):
             regression_loss(pred, target, gt, gt, self.cfg)
 
+    @pytest.mark.parametrize("name", ["logits_x", "logits_z", "logits_yaw",
+                                      "residuals"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_prediction_rejected(self, name, value):
+        arrays = {"logits_x": np.zeros(12), "logits_z": np.zeros(12),
+                  "logits_yaw": np.zeros(12), "residuals": np.zeros(7)}
+        arrays[name][3] = value
+        with pytest.raises(ValueError, match=name):
+            RegressionPrediction(**arrays)
+
 
 class TestTotalLoss:
     def test_all_zero(self):
