@@ -55,10 +55,12 @@ _DEFAULT_LAMBDAS = "1.0,1.2,1.4,1.6,2.0"
 class _ArgumentParser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern misses exponents, so "--eps -1e-5" would
-        # read "-1e-5" as an unknown option instead of a value
+        # argparse's own pattern misses exponents, inf and nan, so
+        # "--eps -1e-5" or "--eps -inf" would read the value as an
+        # unknown option instead of a value
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf(inity)?|nan)$",
+            re.IGNORECASE)
 
     # argparse exits 2 on usage errors; the contract here is 1
     def error(self, message):

@@ -64,6 +64,8 @@ def validate_config(cfg: RunConfig) -> None:
     for key in ("bin_count_xz", "bin_count_yaw"):
         if getattr(cfg, key) < 2:
             raise ValueError(f"{key} must be >= 2, got {getattr(cfg, key)}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
 
 
 def parse_config(text: str) -> RunConfig:

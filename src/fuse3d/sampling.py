@@ -9,6 +9,7 @@ sample is; attention-heavy sampling drives it down.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -49,9 +50,18 @@ def farthest_point_sampling(
     Each pick depends only on the picks before it, so the first m
     entries of FPS(n) are exactly FPS(m) for every m <= n.
 
-    Working memory is O(N): three coordinate columns, the running
-    minimum distances and two scratch vectors, all allocated before the
-    first pick and updated in place.
+    Each update is windowed. A pick can lower the running minimum only
+    of points nearer to it than the largest running minimum, so the
+    points are sorted by x once and each pick updates only the
+    contiguous run of that order, found by bisection, whose x lies
+    within that distance of its own. The argmax still spans every point
+    in original index order, so picks and ties are exactly those of the
+    full update.
+
+    Working memory is O(N): the x-sorted (3, N) coordinate copy and its
+    permutation, the running minimum distances and a (3, N) scratch
+    block, all allocated before the first pick, plus a window-sized
+    temporary for the running minima each pick gathers.
 
     Returns
     -------
@@ -63,26 +73,50 @@ def farthest_point_sampling(
         raise InvalidCount(f"cannot sample {n} of {total} points")
     if not 0 <= seed_index < total:
         raise InvalidCount(f"seed_index {seed_index} outside [0, {total})")
-    x, y, z = (np.ascontiguousarray(coords[:, j]) for j in range(3))
-    # min squared distance from each point to the chosen set; chosen
-    # entries are forced negative so argmax never revisits them
+    order = np.argsort(coords[:, 0], kind="stable")
+    pts = coords.T.take(order, axis=1)
+    sx = pts[0]
+    # bisect on a buffer view of sx costs less per call than searchsorted
+    x_sorted = memoryview(sx)
+    # Window. At the top of a pick, bound = min_d2[last] is the largest
+    # running minimum of any unpicked point, so the update can lower
+    # only points with d2 < bound. d2 adds non-negative terms to
+    # fl(dx * dx), dx = fl(x_j - px), and rounding is monotone, so
+    # d2 >= fl(dx * dx) and a point that is lowered has dx * dx < bound.
+    # With r = fl(sqrt(bound)) and u = 2**-53, sqrt and the subtraction
+    # each round by a factor within 1 -+ u, so |x_j - px| < r * (1 + 3u).
+    # The computed edges fl(px -+ reach) move by at most
+    # u * (|px| + reach), reach itself by a few u * reach, and any value
+    # that underflows by less than tiny. The relative margin 1e-9 and
+    # the absolute one, pad >= 1e-9 * max|x| + tiny, cover all of it,
+    # so every point that can be lowered lies strictly between the
+    # edges. The seed's bound is inf, so the first window is everything.
+    x_max = max(abs(sx[0]), abs(sx[-1]))
+    pad = float(1e-9 * x_max + np.finfo(np.float64).tiny)
+    # min squared distance from each point to the chosen set, in
+    # original order so argmax breaks ties toward the lower index;
+    # chosen entries are forced negative so argmax never revisits them
     min_d2 = np.full(total, np.inf)
-    d2 = np.empty(total)
-    tmp = np.empty(total)
+    diff = np.empty((3, total))
     chosen = np.empty(n, dtype=np.intp)
     chosen[0] = last = seed_index
     for k in range(1, n):
+        p = coords[last, :, None]
+        px = float(p[0, 0])
+        reach = math.sqrt(min_d2[last]) * (1.0 + 1e-9) + pad
+        lo = bisect.bisect_left(x_sorted, px - reach)
+        hi = bisect.bisect_left(x_sorted, px + reach, lo)
+        d = diff[:, :hi - lo]
+        idx = order[lo:hi]
         # d2 = dx*dx + dy*dy + dz*dz in this order: the order fixes the
         # rounding, and with it which of two near-equal distances wins
-        np.subtract(x, x[last], out=d2)
-        np.multiply(d2, d2, out=d2)
-        np.subtract(y, y[last], out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        np.add(d2, tmp, out=d2)
-        np.subtract(z, z[last], out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        np.add(d2, tmp, out=d2)
-        np.minimum(min_d2, d2, out=min_d2)
+        np.subtract(pts[:, lo:hi], p, out=d)
+        d *= d
+        d2 = d[0]
+        d2 += d[1]
+        d2 += d[2]
+        np.minimum(min_d2[idx], d2, out=d2)
+        min_d2[idx] = d2
         min_d2[last] = -1.0
         last = chosen[k] = min_d2.argmax()
     return chosen

@@ -44,6 +44,8 @@ class SyntheticSceneSpec:
                 f"attention_contrast must be in [0, 1), got "
                 f"{self.attention_contrast}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_scene(

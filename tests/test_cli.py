@@ -205,6 +205,10 @@ class TestGradcheck:
         (["--tolerance", "-1e-5"], "tolerance"),
         (["--tolerance", "-2.5E+1"], "tolerance"),
         (["--eps", "-1e-5"], "eps"),
+        (["--tolerance", "-inf"], "tolerance"),
+        (["--tolerance", "-NaN"], "tolerance"),
+        (["--eps", "-nan"], "eps"),
+        (["--eps", "-Infinity"], "eps"),
     ])
     def test_bad_argument_is_usage_error(self, tmp_path, capsys, flags, named):
         out = tmp_path / "g.json"
@@ -446,6 +450,29 @@ class TestConfigHandling:
 
     def test_invalid_config_value_is_usage_error(self):
         assert main(["roi-demo", "--nms-threshold", "2.0"]) == 1
+
+    @pytest.mark.parametrize("command", ["roi-demo", "gradcheck"])
+    def test_negative_seed_flag_names_the_key(self, tmp_path, capsys, command):
+        out = tmp_path / "report.json"
+        assert main([command, "--seed", "-3", "--out", str(out)]) == 1
+        assert "usage error: seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["roi-demo", "gradcheck"])
+    def test_negative_seed_in_config_file_names_the_key(self, tmp_path, capsys,
+                                                        command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        out = tmp_path / "report.json"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "usage error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_scene_seed_names_the_key(self, tmp_path, capsys):
+        out = tmp_path / "study.csv"
+        assert main(["sample-study", "--scene-seed", "-3", "--out", str(out)]) == 1
+        assert "usage error: seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, key", [
         ("--focal-gamma", "nan", "focal_gamma"),

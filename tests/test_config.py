@@ -92,6 +92,7 @@ class TestValidation:
         ("bin_half_range", math.nan), ("bin_half_range", math.inf),
         ("bin_count_yaw", 1),
         ("roi_points", 0),
+        ("seed", -1),
     ])
     def test_bad_value_rejected_by_key(self, key, value):
         with pytest.raises(ValueError, match=key):

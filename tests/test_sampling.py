@@ -40,6 +40,31 @@ def large_clouds():
     }
 
 
+def window_edge_clouds():
+    """Clouds on which an x-window could go wrong: x never varies, most
+    distances tie, x sits far from zero in fine steps, neighbouring x
+    values differ by one ulp, or x is so large that its ulp is 1 and
+    the window edges px -+ r round by up to half a unit."""
+    rng = np.random.default_rng(46)
+    axis = np.arange(7.0)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+    ulp = np.spacing(1.0)
+    return {
+        "equal_x": np.column_stack(
+            [np.full(600, 2.5), rng.uniform(-10, 10, size=(600, 2))]),
+        "tripled_grid": np.tile(grid.reshape(-1, 3), (3, 1)),
+        "far_x_mm_steps": np.column_stack([
+            1e6 + 1e-3 * rng.integers(0, 400, size=800),
+            1e-3 * rng.integers(0, 20, size=(800, 2))]),
+        "ulp_apart_x": np.column_stack([
+            1.0 + ulp * rng.permutation(500),
+            ulp * rng.integers(0, 30, size=(500, 2))]),
+        "x_ulp_one": np.column_stack([
+            2.0**52 + rng.integers(0, 12, size=400),
+            rng.integers(0, 4, size=(400, 2))]).astype(float),
+    }
+
+
 class TestFarthestPointSampling:
     def test_n_equals_total_returns_all(self):
         rng = np.random.default_rng(30)
@@ -87,6 +112,21 @@ class TestFarthestPointSampling:
         cloud = large_clouds()[name]
         got = farthest_point_sampling(cloud, 1434, seed_index=7).tolist()
         assert got == rowwise_fps(cloud.coords, 1434, seed_index=7)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["equal_x", "tripled_grid", "far_x_mm_steps", "ulp_apart_x", "x_ulp_one"])
+    def test_window_edge_cases_match_rowwise_oracle(self, name):
+        coords = window_edge_clouds()[name]
+        n = len(coords)
+        got = farthest_point_sampling(PointCloud(coords), n, seed_index=5)
+        assert got.tolist() == rowwise_fps(coords, n, seed_index=5)
+
+    def test_clustered_scene_matches_rowwise_oracle(self, standard_scene):
+        cloud, _, _ = standard_scene
+        n = len(cloud)
+        got = farthest_point_sampling(cloud, n, seed_index=11)
+        assert got.tolist() == rowwise_fps(cloud.coords, n, seed_index=11)
 
     def test_prefix_property(self):
         cloud = large_clouds()["duplicates"]

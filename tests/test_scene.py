@@ -67,6 +67,10 @@ class TestSyntheticScene:
         with pytest.raises(ValueError):
             SyntheticSceneSpec(cluster_radius=0.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SyntheticSceneSpec(seed=-1)
+
     @pytest.mark.parametrize("field", ["cluster_radius", "background_extent"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_extent_must_be_positive_and_finite(self, field, value):
