@@ -9,13 +9,7 @@ synthetic scenes, and dataset file I/O. Everything runs on numpy
 arrays in float64 and is deterministic given its seeds.
 """
 
-from .config import (
-    RunConfig,
-    load_config,
-    parse_config,
-    subsystem_seed,
-    validate_config,
-)
+from .config import RunConfig, load_config, parse_config, subsystem_seed
 from .errors import (
     DimensionMismatch,
     DomainError,

@@ -23,17 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    RunConfig,
-    load_config,
-    subsystem_seed,
-    validate_config,
-)
-from .errors import (
-    MissingKey,
-    ParseError,
-    TruncatedFile,
-)
+from .config import RunConfig, load_config, subsystem_seed
+from .errors import ParseError
 from .fusion import AAFInput, aaf_forward, init_params, run_gradcheck
 from .geometry import Box3D, in_image_bounds, iou_bev, project_points
 from .kitti_io import read_calib, read_point_cloud_bin, write_point_cloud_bin
@@ -61,11 +52,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(
             r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf(inity)?|nan)$",
             re.IGNORECASE)
-
-    # argparse exits 2 on usage errors; the contract here is 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _fmt(value) -> str:
@@ -154,17 +140,17 @@ def _add_run_config_args(parser, keys) -> None:
 
 def _resolve_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    cfg = dataclasses.replace(cfg, **_flag_values(args, RunConfig, "cfg"))
-    validate_config(cfg)
-    return cfg
+    return dataclasses.replace(cfg, **_flag_values(args, RunConfig, "cfg"))
+
+
+def _scene_flag(name: str) -> str:
+    return "--scene-seed" if name == "seed" else "--" + name.replace("_", "-")
 
 
 def _add_scene_args(parser) -> None:
     for field in dataclasses.fields(SyntheticSceneSpec):
-        flag = "--scene-seed" if field.name == "seed" \
-            else "--" + field.name.replace("_", "-")
         parser.add_argument(
-            flag,
+            _scene_flag(field.name),
             dest=f"scene_{field.name}",
             type=type(field.default),
             default=None,
@@ -225,6 +211,11 @@ def _study_inputs(args):
     if args.attention is not None and args.cloud is None:
         raise ValueError("--attention needs --cloud")
     if args.cloud:
+        scene_flags = _flag_values(args, SyntheticSceneSpec, "scene")
+        if scene_flags:
+            raise ValueError(
+                f"{', '.join(map(_scene_flag, scene_flags))} set a synthetic "
+                "scene and cannot go with --cloud")
         cloud = read_point_cloud_bin(args.cloud)
         if len(cloud) == 0:
             raise ParseError(f"{args.cloud}: the cloud holds no points")
@@ -377,6 +368,8 @@ def cmd_loss_eval(args) -> int:
                              parse_constant=_finite_float)
     except ValueError as exc:  # JSONDecodeError is one
         raise ParseError(f"{args.fixture}: {exc}") from None
+    if not isinstance(fixture, dict):
+        raise ParseError(f"{args.fixture}: expected a JSON object")
     try:
         report = _evaluate_losses(fixture, cfg)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -386,10 +379,11 @@ def cmd_loss_eval(args) -> int:
 
 
 def _evaluate_losses(fixture: dict, cfg: RunConfig) -> dict:
-    focal_cfg = FocalConfig(
-        alpha=fixture.get("alpha", cfg.focal_alpha),
-        gamma=fixture.get("gamma", cfg.focal_gamma),
-    )
+    for key in ("alpha", "gamma"):
+        if key in fixture:
+            raise ValueError(f"key {key!r} is not read; set it with "
+                             f"--focal-{key} or focal_{key} in --config")
+    focal_cfg = FocalConfig(alpha=cfg.focal_alpha, gamma=cfg.focal_gamma)
     bin_cfg = cfg.bin_config()
     pred_box = _box_from_json(fixture["pred_box"], "pred_box")
     gt_box = _box_from_json(fixture["gt_box"], "gt_box")
@@ -492,11 +486,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse exits 2 on usage errors; ours is 1
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (TruncatedFile, MissingKey, ParseError, OSError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -2,7 +2,8 @@
 
 The defaults are the pipeline's standard operating constants: NMS and
 proposal caps, RoI enlargement and point budget, focal constants, the
-bin layout and the global seed. Every key is read by some command.
+bin layout and the global seed. Every key is read by some command, and
+a RunConfig checks its values when it is built, so every one is valid.
 """
 
 from __future__ import annotations
@@ -32,6 +33,34 @@ class RunConfig:
     bin_count_yaw: int = 12
     seed: int = 0
 
+    def __post_init__(self):
+        # a bad value raises ValueError naming its key; NaN fails every check
+        if not 0.0 <= self.nms_threshold <= 1.0:
+            raise ValueError(
+                f"nms_threshold must be in [0, 1], got {self.nms_threshold}")
+        if self.pre_nms_top < 1 or self.proposals_keep < 1:
+            raise ValueError("proposal caps must be positive")
+        if not 0.0 <= self.enlarge < math.inf:
+            raise ValueError(f"enlarge must be finite and >= 0, got {self.enlarge}")
+        if self.roi_points < 1:
+            raise ValueError(f"roi_points must be >= 1, got {self.roi_points}")
+        if not 0.0 < self.focal_alpha < 1.0:
+            raise ValueError(
+                f"focal_alpha must be in (0, 1), got {self.focal_alpha}")
+        if not 0.0 <= self.focal_gamma < math.inf:
+            raise ValueError(
+                f"focal_gamma must be finite and >= 0, got {self.focal_gamma}")
+        if not 0.0 < self.bin_half_range < math.inf:
+            raise ValueError(
+                f"bin_half_range must be positive and finite, got "
+                f"{self.bin_half_range}"
+            )
+        for key in ("bin_count_xz", "bin_count_yaw"):
+            if getattr(self, key) < 2:
+                raise ValueError(f"{key} must be >= 2, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
     def bin_config(self) -> BinConfig:
         return BinConfig(
             x=BinSpec(self.bin_half_range, self.bin_count_xz),
@@ -40,39 +69,11 @@ class RunConfig:
         )
 
 
-def validate_config(cfg: RunConfig) -> None:
-    """Raise ValueError, naming the key, on an inconsistent configuration.
-
-    Each check is phrased so that NaN fails it.
-    """
-    if not 0.0 <= cfg.nms_threshold <= 1.0:
-        raise ValueError(f"nms_threshold must be in [0, 1], got {cfg.nms_threshold}")
-    if cfg.pre_nms_top < 1 or cfg.proposals_keep < 1:
-        raise ValueError("proposal caps must be positive")
-    if not 0.0 <= cfg.enlarge < math.inf:
-        raise ValueError(f"enlarge must be finite and >= 0, got {cfg.enlarge}")
-    if cfg.roi_points < 1:
-        raise ValueError(f"roi_points must be >= 1, got {cfg.roi_points}")
-    if not 0.0 < cfg.focal_alpha < 1.0:
-        raise ValueError(f"focal_alpha must be in (0, 1), got {cfg.focal_alpha}")
-    if not 0.0 <= cfg.focal_gamma < math.inf:
-        raise ValueError(f"focal_gamma must be finite and >= 0, got {cfg.focal_gamma}")
-    if not 0.0 < cfg.bin_half_range < math.inf:
-        raise ValueError(
-            f"bin_half_range must be positive and finite, got {cfg.bin_half_range}"
-        )
-    for key in ("bin_count_xz", "bin_count_yaw"):
-        if getattr(cfg, key) < 2:
-            raise ValueError(f"{key} must be >= 2, got {getattr(cfg, key)}")
-    if cfg.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse ``key = value`` lines; '#' starts a comment, blanks skipped.
 
-    Unknown keys and malformed values raise ParseError. Missing keys
-    keep their defaults.
+    Unknown keys and malformed values raise ParseError, and a value out
+    of its key's range raises ValueError. Missing keys keep defaults.
     """
     types = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
     values = {}

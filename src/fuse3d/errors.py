@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Every concrete error is either a ParseError (bad data; the CLI exits 2)
+or a ValueError (a bad argument or setting; the CLI exits 1).
+"""
 
 
 class Fuse3DError(Exception):
@@ -25,13 +29,13 @@ class OutOfRange(Fuse3DError, ValueError):
     """A value falls outside the configured search range."""
 
 
-class TruncatedFile(Fuse3DError):
+class ParseError(Fuse3DError):
+    """A text file or fixture could not be parsed."""
+
+
+class TruncatedFile(ParseError):
     """A binary file ends in the middle of a record."""
 
 
-class MissingKey(Fuse3DError):
+class MissingKey(ParseError):
     """A required key is absent from a calibration file."""
-
-
-class ParseError(Fuse3DError):
-    """A text file or fixture could not be parsed."""

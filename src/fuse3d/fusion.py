@@ -293,17 +293,18 @@ def load_params(path) -> AAFParams:
             f"{path}: {len(data)} bytes, expected {expected} for header "
             f"({c_img}, {c_pt}, {c_prev}, {c_att}, {c_out})"
         )
-    flat = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
+    # one copy, so every array is writable rather than a view of ``data``
+    flat = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).copy()
     parts = np.split(flat, np.cumsum(counts)[:-1])
     return AAFParams(
         c_img=c_img,
         c_pt=c_pt,
         w_img_att=parts[0].reshape(c_cat, 1),
-        b_img_att=parts[1].copy(),
+        b_img_att=parts[1],
         w_pt_att=parts[2].reshape(c_cat, 1),
-        b_pt_att=parts[3].copy(),
+        b_pt_att=parts[3],
         w_out=parts[4].reshape(c_cat + c_prev, c_out),
-        b_out=parts[5].copy(),
+        b_out=parts[5],
     )
 
 

@@ -348,14 +348,16 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     return min(1.0, inter_vol / union)
 
 
-def _greedy_nms(boxes, scores, iou_threshold: float):
+def _greedy_nms(boxes, scores, iou_threshold: float, top=None):
     """Yield the indices :func:`nms` keeps, best first.
 
-    A pick is final before any later box is looked at, so a caller that
-    needs the first k stops after k picks. Each kept box is tested only
-    against the later boxes still unsuppressed: the circumradius gate in
-    one array op, then the survivors in one overlap-kernel call, which
-    gives each pair the same bits as :func:`iou_bev`.
+    Only the ``top`` best-scoring boxes take part (all of them when
+    None). A pick is final before any later box is looked at, so a
+    caller that needs the first k stops after k picks. Each kept box is
+    tested only against the later boxes still unsuppressed: the
+    circumradius gate in one array op, then the survivors in one
+    overlap-kernel call, which gives each pair the same bits as
+    :func:`iou_bev`.
     """
     if len(boxes) != len(scores):
         raise DimensionMismatch(
@@ -366,7 +368,7 @@ def _greedy_nms(boxes, scores, iou_threshold: float):
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores, kind="stable")[:top]
     centers, corners, areas, radii = _footprints([boxes[i] for i in order])
     alive = np.ones(len(order), dtype=bool)
     for pos in range(len(order)):

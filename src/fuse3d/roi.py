@@ -59,14 +59,9 @@ def select_proposals(
     """
     if pre_nms_top < 1 or keep < 1:
         raise ValueError("pre_nms_top and keep must be positive")
-    order = sorted(
-        range(len(proposals)), key=lambda i: (-proposals[i].score, i)
-    )[:pre_nms_top]
-    subset = [proposals[i] for i in order]
-    kept = _greedy_nms(
-        [p.box for p in subset], [p.score for p in subset], nms_threshold
-    )
-    return [subset[i] for i in islice(kept, keep)]
+    kept = _greedy_nms([p.box for p in proposals], [p.score for p in proposals],
+                       nms_threshold, top=pre_nms_top)
+    return [proposals[i] for i in islice(kept, keep)]
 
 
 def roi_pooled_fusion(

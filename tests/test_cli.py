@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import struct
 
@@ -129,7 +130,7 @@ class TestSampleStudy:
         assert main(["sample-study", "--cloud", str(scene_dir / "cloud.bin"),
                      "--attention", str(att), "--n", "8"]) == 2
 
-    @pytest.mark.parametrize("bad", ["nan", "1.5", "0.0"])
+    @pytest.mark.parametrize("bad", ["nan", "1.5", "0.0", "high"])
     def test_bad_attention_score_is_data_error(self, tmp_path, capsys, bad):
         scene_dir = tmp_path / "scene"
         main(["gen-scene", "--outdir", str(scene_dir)])
@@ -141,6 +142,36 @@ class TestSampleStudy:
         assert main(["sample-study", "--cloud", str(scene_dir / "cloud.bin"),
                      "--attention", str(att), "--n", "8"]) == 2
         assert f"{att}:4:" in capsys.readouterr().err
+
+    def test_cloud_without_attention_scores_every_point_half(self, tmp_path):
+        scene_dir = tmp_path / "scene"
+        main(["gen-scene", "--outdir", str(scene_dir)])
+        out = tmp_path / "study.csv"
+        assert main(["sample-study", "--cloud", str(scene_dir / "cloud.bin"),
+                     "--n", "32", "--lambdas", "1.0,2.0", "--out", str(out)]) == 0
+        rows = read_csv(out)[1:]
+        # no score lies above the 0.5 midpoint, and lam = 1 is pure FPS
+        assert [r[2] for r in rows] == ["0.0", "0.0"]
+        cloud = read_point_cloud_bin(scene_dir / "cloud.bin")
+        _, expected = aad(cloud, farthest_point_sampling(cloud, 32))
+        assert float(rows[0][1]) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("flags", [
+        ["--num-clusters", "9", "--scene-seed", "3"],
+        ["--background-extent", "10.0"],
+    ])
+    def test_scene_flag_with_cloud_is_usage_error(self, tmp_path, capsys,
+                                                  flags):
+        scene_dir = tmp_path / "scene"
+        main(["gen-scene", "--outdir", str(scene_dir)])
+        capsys.readouterr()
+        out = tmp_path / "study.csv"
+        assert main(["sample-study", "--cloud", str(scene_dir / "cloud.bin"),
+                     *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--cloud" in err
+        assert all(flag in err for flag in flags[::2])
+        assert not out.exists()
 
     def test_nonfinite_cloud_is_data_error(self, tmp_path, capsys):
         cloud_path = tmp_path / "cloud.bin"
@@ -374,6 +405,49 @@ class TestLossEval:
         assert report["regression"] == pytest.approx(
             3 * math.log(12) + 3 * 0.5 * 0.25 + math.log(3))
 
+    @pytest.mark.parametrize("flag, value, expected", [
+        ("--focal-gamma", "0.0", 0.25 * math.log(2)),
+        ("--focal-alpha", "0.5", 0.5 * 0.25 * math.log(2)),
+    ])
+    def test_focal_flags_set_the_focal_term(self, tmp_path, flag, value,
+                                            expected):
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(self.fixture_payload()))
+        out = tmp_path / "losses.json"
+        assert main(["loss-eval", "--fixture", str(fixture), flag, value,
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["focal"] == pytest.approx(expected)
+
+    @pytest.mark.parametrize("key", ["alpha", "gamma"])
+    def test_fixture_focal_constant_is_data_error(self, tmp_path, capsys, key):
+        payload = dict(self.fixture_payload(), **{key: 0.5})
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(payload))
+        out = tmp_path / "losses.json"
+        assert main(["loss-eval", "--fixture", str(fixture),
+                     f"--focal-{key}", "0.5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {fixture}:")
+        assert repr(key) in err and f"--focal-{key}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, box", [
+        ("pred_box", {"center": [0.0, 0.0, 0.0], "length": 1.0,
+                      "height": 1.0, "width": 1.0}),
+        ("gt_box", {"center": [0.0, 0.0], "length": 1.0, "height": 1.0,
+                    "width": 1.0, "yaw": 0.0}),
+        ("anchor_box", {"center": [0.0, 0.0, 0.0], "length": -1.0,
+                        "height": 1.0, "width": 1.0, "yaw": 0.0}),
+        ("gt_box", [1.0, 2.0]),
+    ], ids=["no-yaw", "short-center", "negative-length", "not-an-object"])
+    def test_malformed_box_is_data_error(self, tmp_path, capsys, name, box):
+        payload = dict(self.fixture_payload(), **{name: box})
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(payload))
+        assert main(["loss-eval", "--fixture", str(fixture)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and repr(name) in err
+
     def test_missing_key_is_data_error(self, tmp_path):
         payload = self.fixture_payload()
         del payload["gt_box"]
@@ -385,6 +459,15 @@ class TestLossEval:
         fixture = tmp_path / "fixture.json"
         fixture.write_text("{not json")
         assert main(["loss-eval", "--fixture", str(fixture)]) == 2
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"alphabet"', "3"])
+    def test_fixture_that_is_not_an_object_is_data_error(self, tmp_path,
+                                                          capsys, text):
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(text)
+        assert main(["loss-eval", "--fixture", str(fixture)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {fixture}: expected a JSON object\n")
 
     def test_bad_probability_is_data_error(self, tmp_path):
         payload = self.fixture_payload()
@@ -547,6 +630,10 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["sample-study", "--frobnicate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fuse3d [-h]")
+        assert err.endswith("\nfuse3d: error: unrecognized arguments: "
+                            "--frobnicate\n")
 
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == 1

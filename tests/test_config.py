@@ -10,7 +10,6 @@ from fuse3d import (
     load_config,
     parse_config,
     subsystem_seed,
-    validate_config,
 )
 
 
@@ -23,7 +22,6 @@ class TestDefaults:
         assert cfg.roi_points == 512
         assert (cfg.focal_alpha, cfg.focal_gamma) == (0.25, 2.0)
         assert cfg.seed == 0
-        validate_config(cfg)
 
     def test_eleven_keys(self):
         assert [f.name for f in dataclasses.fields(RunConfig)] == [
@@ -80,9 +78,11 @@ class TestRoundTrip:
 
 
 class TestValidation:
+    """A RunConfig checks its values when it is built."""
+
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
-            validate_config(dataclasses.replace(RunConfig(), nms_threshold=1.5))
+            RunConfig(nms_threshold=1.5)
 
     @pytest.mark.parametrize("key, value", [
         ("nms_threshold", math.nan),
@@ -96,7 +96,20 @@ class TestValidation:
     ])
     def test_bad_value_rejected_by_key(self, key, value):
         with pytest.raises(ValueError, match=key):
-            validate_config(dataclasses.replace(RunConfig(), **{key: value}))
+            RunConfig(**{key: value})
+        with pytest.raises(ValueError, match=key):
+            dataclasses.replace(RunConfig(), **{key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("pre_nms_top", 0), ("proposals_keep", -1),
+    ])
+    def test_proposal_caps_below_one_rejected(self, key, value):
+        with pytest.raises(ValueError, match="proposal caps must be positive"):
+            RunConfig(**{key: value})
+
+    def test_out_of_range_file_value_rejected_by_parser(self):
+        with pytest.raises(ValueError, match="enlarge must be finite"):
+            parse_config("seed = 3\nenlarge = -0.5\n")
 
 
 class TestSubsystemSeed:

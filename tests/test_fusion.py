@@ -321,6 +321,23 @@ class TestSerialization:
             np.testing.assert_array_equal(getattr(loaded, name),
                                           getattr(params, name))
 
+    def test_loaded_arrays_are_writable(self, tmp_path):
+        params = init_params(3, 2, 4, 5, np.random.default_rng(63))
+        path = tmp_path / "params.bin"
+        save_params(params, path)
+        loaded = load_params(path)
+        names = ("w_img_att", "b_img_att", "w_pt_att", "b_pt_att",
+                 "w_out", "b_out")
+        assert all(getattr(loaded, name).flags.writeable for name in names)
+        loaded.w_pt_att[0, 0] = 1.0
+        loaded.b_out[0] = 1.0
+        # the edit stays in the loaded copy; the file and its reload do not move
+        again = load_params(path)
+        for name in names:
+            np.testing.assert_array_equal(getattr(again, name),
+                                          getattr(params, name))
+        assert loaded.w_pt_att[0, 0] == 1.0 and params.w_pt_att[0, 0] != 1.0
+
     def test_header_layout(self, tmp_path):
         rng = np.random.default_rng(61)
         params = init_params(1, 2, 3, 4, rng)
@@ -339,6 +356,12 @@ class TestSerialization:
         save_params(params, path)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(TruncatedFile):
+            load_params(path)
+
+    def test_file_shorter_than_header_rejected(self, tmp_path):
+        path = tmp_path / "params.bin"
+        path.write_bytes(b"\x01\x00\x00\x00" * 3)
+        with pytest.raises(TruncatedFile, match="too short for the header"):
             load_params(path)
 
     def test_unsupported_attention_width_rejected(self, tmp_path):
@@ -366,3 +389,10 @@ class TestRelativeError:
 
     def test_large_entries_relative(self):
         assert relative_error(np.array([2.0]), np.array([1.0])) == 0.5
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatch, match="shapes differ"):
+            relative_error(np.ones(3), np.ones((3, 1)))
+
+    def test_empty_input_is_zero(self):
+        assert relative_error(np.empty(0), np.empty(0)) == 0.0

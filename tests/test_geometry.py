@@ -333,6 +333,15 @@ class TestNms:
         boxes = [unit_box(), unit_box()]
         assert nms(boxes, [0.5, 0.5], 0.8) == [0]
 
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, np.nan])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match="iou_threshold"):
+            nms([unit_box(), unit_box(cx=10.0)], [0.9, 0.8], threshold)
+
+    def test_box_and_score_counts_must_match(self):
+        with pytest.raises(DimensionMismatch, match="2 boxes but 3 scores"):
+            nms([unit_box(), unit_box(cx=10.0)], [0.9, 0.8, 0.7], 0.5)
+
     def test_boundary_iou_not_suppressed(self):
         # IoU exactly at the threshold must survive
         a = unit_box()

@@ -7,6 +7,7 @@ from fuse3d import (
     BinConfig,
     BinSpec,
     Box3D,
+    BoxTarget,
     DimensionMismatch,
     DomainError,
     FocalConfig,
@@ -310,6 +311,16 @@ class TestRegressionLoss:
         )
         with pytest.raises(DimensionMismatch):
             regression_loss(pred, target, gt, gt, self.cfg)
+
+    @pytest.mark.parametrize("shape", [(6,), (8,), (1, 7)])
+    def test_residuals_of_wrong_shape_rejected(self, shape):
+        with pytest.raises(DimensionMismatch, match=r"shape \(7,\)"):
+            RegressionPrediction(
+                logits_x=np.zeros(12), logits_z=np.zeros(12),
+                logits_yaw=np.zeros(12), residuals=np.zeros(shape),
+            )
+        with pytest.raises(DimensionMismatch, match=r"shape \(7,\)"):
+            BoxTarget(bin_x=0, bin_z=0, bin_yaw=0, residuals=np.zeros(shape))
 
     @pytest.mark.parametrize("name", ["logits_x", "logits_z", "logits_yaw",
                                       "residuals"])

@@ -59,6 +59,17 @@ class TestSelectProposals:
         out = select_proposals(props)
         assert out[0].box.center[0] == 0.0
 
+    @pytest.mark.parametrize("caps", [{"pre_nms_top": 0}, {"keep": 0},
+                                      {"keep": -4}])
+    def test_caps_below_one_rejected(self, caps):
+        with pytest.raises(ValueError, match="must be positive"):
+            select_proposals([proposal()], **caps)
+
+    @pytest.mark.parametrize("score", [np.nan, np.inf])
+    def test_nonfinite_score_rejected(self, score):
+        with pytest.raises(ValueError, match="score must be finite"):
+            proposal(score=score)
+
     def test_equals_nms_prefix(self):
         rng = np.random.default_rng(31)
         boxes = clustered_boxes(rng, 240)
@@ -166,6 +177,14 @@ class TestRoiPooledFusion:
         f_img, f_pt, f_fused = feature_set(rng, 4)
         with pytest.raises(DimensionMismatch):
             roi_pooled_fusion(proposal(), cloud, f_img, f_pt, f_fused)
+
+    @pytest.mark.parametrize("n_points", [0, -1])
+    def test_point_budget_below_one_rejected(self, n_points):
+        cloud = PointCloud(np.zeros((3, 3)))
+        f_img, f_pt, f_fused = feature_set(np.random.default_rng(88), 3)
+        with pytest.raises(ValueError, match="n_points must be positive"):
+            roi_pooled_fusion(proposal(), cloud, f_img, f_pt, f_fused,
+                              n_points=n_points)
 
     def test_default_constants(self):
         import inspect

@@ -247,6 +247,11 @@ class TestAad:
         with pytest.raises(TooFewPoints):
             aad(cloud, [0, 1, 2])
 
+    def test_two_dimensional_indices_rejected(self):
+        cloud = make_cloud(np.random.default_rng(43), 10)
+        with pytest.raises(DimensionMismatch, match="1-D"):
+            aad(cloud, [[0, 1], [2, 3]])
+
     @pytest.mark.parametrize(
         "k", [_AAD_CHUNK - 5, _AAD_CHUNK, 2 * _AAD_CHUNK + 37])
     def test_chunked_rows_equal_dense_formula(self, k):
@@ -286,6 +291,16 @@ class TestLambdaSweep:
         assert all(b <= a for a, b in zip(aads, aads[1:]))
         # the endpoints bracket the trend
         assert aads[-1] <= aads[0]
+
+    def test_sweep_rejects_more_samples_than_points(self):
+        cloud, attention, _ = generate_scene(SyntheticSceneSpec(
+            num_clusters=1, points_per_cluster=10, background_points=10))
+        with pytest.raises(InvalidCount, match="cannot sample 21 of 20"):
+            hybrid_sweep(cloud, attention, 21, [1.0])
+
+    def test_sweep_of_no_factors_is_empty(self, standard_scene):
+        cloud, attention, _ = standard_scene
+        assert hybrid_sweep(cloud, attention, 64, []) == []
 
     def test_propagates_sampler_errors(self):
         cloud, attention, _ = generate_scene(SyntheticSceneSpec(
