@@ -56,7 +56,6 @@ from .geometry import (
 from .kitti_io import (
     CalibData,
     read_calib,
-    read_calib_components,
     read_labels,
     read_point_cloud_bin,
     write_point_cloud_bin,

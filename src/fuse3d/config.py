@@ -38,8 +38,9 @@ class RunConfig:
         if not 0.0 <= self.nms_threshold <= 1.0:
             raise ValueError(
                 f"nms_threshold must be in [0, 1], got {self.nms_threshold}")
-        if self.pre_nms_top < 1 or self.proposals_keep < 1:
-            raise ValueError("proposal caps must be positive")
+        for key in ("pre_nms_top", "proposals_keep"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 0.0 <= self.enlarge < math.inf:
             raise ValueError(f"enlarge must be finite and >= 0, got {self.enlarge}")
         if self.roi_points < 1:

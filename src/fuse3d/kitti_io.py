@@ -68,7 +68,7 @@ def _pad4(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def read_calib_components(path) -> CalibData:
+def _read_calib_components(path) -> CalibData:
     """Parse the three calibration keys into their separate matrices."""
     found = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -103,7 +103,7 @@ def read_calib_components(path) -> CalibData:
 
 def read_calib(path) -> np.ndarray:
     """Composed (3, 4) LiDAR-to-image projection matrix."""
-    return read_calib_components(path).projection
+    return _read_calib_components(path).projection
 
 
 _LABEL_FIELDS = 15  # class + 14 numbers (a trailing score is tolerated)

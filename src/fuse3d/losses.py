@@ -22,9 +22,6 @@ from .geometry import Box3D, iou_bev
 _PROB_FLOOR = 1e-12
 _IOU_FLOOR = 1e-6
 
-# Residual ordering shared by BoxTarget and RegressionPrediction.
-RESIDUAL_ORDER = ("x", "y", "z", "length", "height", "width", "yaw")
-
 
 @dataclass(frozen=True)
 class FocalConfig:
@@ -154,9 +151,9 @@ def iou_reg_loss(pred: Box3D, gt: Box3D) -> float:
 class BoxTarget:
     """Encoded regression target for one box against its anchor.
 
-    ``residuals`` follows RESIDUAL_ORDER: the x, z, and yaw entries are
-    in-bin residuals, the y, length, height, width entries are plain
-    offsets from the anchor.
+    ``residuals`` are ordered x, y, z, length, height, width, yaw: the
+    x, z, and yaw entries are in-bin residuals, the y, length, height,
+    width entries are plain offsets from the anchor.
     """
 
     bin_x: int
@@ -178,7 +175,7 @@ class BoxTarget:
 @dataclass
 class RegressionPrediction:
     """Network outputs for one box: bin logits plus residuals for all
-    seven quantities in RESIDUAL_ORDER."""
+    seven quantities, ordered x, y, z, length, height, width, yaw."""
 
     logits_x: np.ndarray
     logits_z: np.ndarray

@@ -6,8 +6,9 @@ from scratch every round, the row-wise one reduces (N, 3) rows where the
 library updates coordinate columns in place, the AAD oracle builds the
 whole distance matrix where the library works in row chunks, box
 containment goes through corner/edge projections instead of frame
-derotation, the overlap oracles count Monte-Carlo samples instead of
-clipping polygons, the image-feature oracle projects and interpolates
+derotation, the IoU oracles count Monte-Carlo samples, the overlap area
+oracle clips one polygon vertex by vertex where the library clips each
+edge to an interval, the image-feature oracle projects and interpolates
 one point at a time with plain floats, and the finite-difference oracle
 perturbs one entry at a time and calls its function twice per entry.
 """
@@ -175,6 +176,29 @@ def mc_iou_3d(a, b, samples: int, rng: np.random.Generator) -> float:
     if either == 0:
         return 0.0
     return int((in_a & in_b).sum()) / either
+
+
+def clip_overlap_area(a, b) -> float:
+    """Footprint overlap area in plain floats: Sutherland-Hodgman clip of
+    a's footprint by the four edge lines of b's, then the shoelace sum."""
+    poly = [(float(x), float(z)) for x, z in _bev_corners(a)]
+    clip = [(float(x), float(z)) for x, z in _bev_corners(b)]
+    for (x0, z0), (x1, z1) in zip(clip, clip[1:] + clip[:1]):
+        def inner(p):
+            return (x1 - x0) * (p[1] - z0) - (z1 - z0) * (p[0] - x0)
+
+        out = []
+        for p, q in zip(poly, poly[1:] + poly[:1]):
+            sp, sq = inner(p), inner(q)
+            if sp >= 0.0:
+                out.append(p)
+            if (sp >= 0.0) != (sq >= 0.0):
+                t = sp / (sp - sq)
+                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        poly = out
+        if not poly:
+            return 0.0
+    return 0.5 * sum(p[0] * q[1] - p[1] * q[0] for p, q in zip(poly, poly[1:] + poly[:1]))
 
 
 def random_box(rng: np.random.Generator, center_spread: float = 1.5):

@@ -104,7 +104,7 @@ class TestValidation:
         ("pre_nms_top", 0), ("proposals_keep", -1),
     ])
     def test_proposal_caps_below_one_rejected(self, key, value):
-        with pytest.raises(ValueError, match="proposal caps must be positive"):
+        with pytest.raises(ValueError, match=f"{key} must be >= 1, got {value}"):
             RunConfig(**{key: value})
 
     def test_out_of_range_file_value_rejected_by_parser(self):

@@ -21,6 +21,7 @@ from fuse3d import (
 from fuse3d.geometry import _footprints, _intersection_area_bev, _overlap_areas
 from oracles import (
     brute_nms,
+    clip_overlap_area,
     clustered_boxes,
     mc_iou_3d,
     mc_iou_bev,
@@ -36,27 +37,31 @@ def unit_box(cx=0.0, cy=0.0, cz=0.0, l=1.0, h=1.0, w=1.0, yaw=0.0):
     return Box3D(np.array([cx, cy, cz]), l, h, w, yaw)
 
 
+def shifted(box, dl=0.0, dw=0.0):
+    """``box`` moved dl along its length axis and dw along its width axis."""
+    c, s = np.cos(box.yaw), np.sin(box.yaw)
+    return Box3D(box.center + np.array([dl * c + dw * s, 0.0, -dl * s + dw * c]),
+                 box.length, box.height, box.width, box.yaw)
+
+
 def degenerate_pairs():
-    """Named pairs whose overlap polygon is degenerate, far from the origin."""
+    """Named pairs whose overlap polygon is degenerate or whose edges
+    partly coincide, far from the origin."""
     base = Box3D(np.array([12.3, 0.4, 31.7]), 4.2, 1.5, 1.8, 0.7)
-    along_l = np.array([np.cos(base.yaw), 0.0, -np.sin(base.yaw)])
-    along_w = np.array([np.sin(base.yaw), 0.0, np.cos(base.yaw)])
-
-    def moved(offset):
-        return Box3D(base.center + offset, base.length, base.height,
-                     base.width, base.yaw)
-
+    l, w = base.length, base.width
     return {
-        "identical": (base, moved(np.zeros(3))),
-        "shared_short_edge": (base, moved(base.length * along_l)),
-        "shared_long_edge": (base, moved(base.width * along_w)),
-        "half_shared_edge": (base, moved(base.length * along_l
-                                         + 0.5 * base.width * along_w)),
-        "touching_corners": (base, moved(base.length * along_l
-                                         + base.width * along_w)),
+        "identical": (base, shifted(base)),
+        "shared_short_edge": (base, shifted(base, l)),
+        "shared_long_edge": (base, shifted(base, dw=w)),
+        "half_shared_edge": (base, shifted(base, l, 0.5 * w)),
+        "touching_corners": (base, shifted(base, l, w)),
+        # long edges on the same lines, running the same way
+        "slid_along_edge": (base, shifted(base, 0.5 * l)),
         "nested": (base, Box3D(base.center, 1.0, 1.0, 0.5, 0.2)),
-        "swapped": (base, Box3D(base.center, base.width, base.height,
-                                base.length, base.yaw + np.pi / 2)),
+        # one long edge of b on a's, running the same way
+        "flush_nested": (base, shifted(Box3D(base.center, 2.0, 1.0, 1.0, base.yaw),
+                                       dw=0.5 * (w - 1.0))),
+        "swapped": (base, Box3D(base.center, w, base.height, l, base.yaw + np.pi / 2)),
     }
 
 
@@ -268,6 +273,22 @@ class TestOverlapKernel:
         assert np.array_equal(batched, one_pair)
         assert (batched > 0).sum() > 100  # many random pairs overlap
 
+    def test_matches_clipping_oracle(self):
+        rng = np.random.default_rng(20)
+        pairs = [(random_box(rng), random_box(rng)) for _ in range(300)]
+        base = degenerate_pairs()["identical"][0]
+        l, w = base.length, base.width
+        pairs += [(base, shifted(base, f * l)) for f in (0.25, 0.5, 0.75)]
+        pairs += [degenerate_pairs()[name] for name in ("flush_nested", "swapped")]
+        pairs.append((base, Box3D(base.center, l, base.height, w, base.yaw + np.pi)))
+        pairs += [(b, a) for a, b in pairs[300:]]
+        corners_a = _footprints([a for a, _ in pairs])[1]
+        corners_b = _footprints([b for _, b in pairs])[1]
+        areas = _overlap_areas(corners_a, corners_b)
+        for (a, b), area in zip(pairs, areas):
+            own = min(a.length * a.width, b.length * b.width)
+            assert abs(area - clip_overlap_area(a, b)) <= 1e-9 * own
+
     def test_footprints_match_one_row_calls(self):
         rng = np.random.default_rng(18)
         boxes = [random_box(rng, center_spread=40.0) for _ in range(50)]
@@ -292,6 +313,12 @@ class TestOverlapKernel:
         assert _intersection_area_bev(a, b) == pytest.approx(0.5, rel=1e-12)
         assert iou_bev(b, a) == pytest.approx(0.5 / (base.length * base.width),
                                               rel=1e-12)
+        a, b = pairs["slid_along_edge"]
+        for inter in (_intersection_area_bev(a, b), _intersection_area_bev(b, a)):
+            assert inter == pytest.approx(0.5 * base.length * base.width, rel=1e-12)
+        a, b = pairs["flush_nested"]
+        for inter in (_intersection_area_bev(a, b), _intersection_area_bev(b, a)):
+            assert inter == pytest.approx(2.0, rel=1e-12)
 
     def test_unit_squares_touching(self):
         a = unit_box()

@@ -9,11 +9,11 @@ from fuse3d import (
     PointCloud,
     TruncatedFile,
     read_calib,
-    read_calib_components,
     read_labels,
     read_point_cloud_bin,
     write_point_cloud_bin,
 )
+from fuse3d.kitti_io import _read_calib_components
 
 IDENTITY_CALIB = """\
 P2: 1 0 0 0 0 1 0 0 0 0 1 0
@@ -130,7 +130,7 @@ class TestCalib:
     def test_components_exposed(self, tmp_path):
         path = tmp_path / "calib.txt"
         path.write_text(IDENTITY_CALIB)
-        calib = read_calib_components(path)
+        calib = _read_calib_components(path)
         np.testing.assert_array_equal(calib.r0, np.eye(3))
 
 
