@@ -25,8 +25,9 @@ _INSIDE_REL_TOL = 1e-12
 # Footprint corners at local (+-length/2, +-width/2), counter-clockwise.
 _CORNER_X = np.array([[1.0], [-1.0], [-1.0], [1.0]])
 _CORNER_Z = np.array([[1.0], [1.0], [-1.0], [-1.0]])
-# Index of the next vertex around a quad.
+# Index of the next vertex around a quad and around the 24 candidates.
 _NEXT = np.array([1, 2, 3, 0])
+_NEXT24 = np.roll(np.arange(24), -1)
 
 
 def wrap_angle(theta: float) -> float:
@@ -244,58 +245,74 @@ def _footprints(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return rows[:, 0:2], corners, rows[:, 8], rows[:, 9]
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    # sums over axis 1 in a fixed order with elementwise adds, so a
+    # row's bits never depend on how many rows share the call
+    while x.shape[1] % 2 == 0:
+        half = x.shape[1] // 2
+        x = x[:, :half] + x[:, half:]
+    out = x[:, 0]
+    for k in range(1, x.shape[1]):
+        out = out + x[:, k]
+    return out
+
+
 def _overlap_areas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Overlap areas of M footprint pairs, (M, 4, 2) x (M, 4, 2) -> (M,).
 
-    The boundary of the overlap of two convex quads is the part of each
-    quad's edges inside the other. An edge meets a convex quad in one
-    interval (Cyrus-Beck clipping), and Green's theorem sums the area
-    over the 8 clipped edges: edge p + t * e kept on [lo, hi] adds
-    cross(p + lo * e, p + hi * e) / 2. Corners within a tolerance of an
-    edge's line count as on it, and boundary points count as inside. An
-    edge of b on the line of an edge of a that runs the same way is
-    dropped, so a shared piece of boundary is counted once, from a;
-    antiparallel shared pieces cancel. A pair's values pass only through
-    elementwise arithmetic, row maxima and minima and a fixed-order sum,
-    so it gets the same bits alone or inside any batch. Overlaps at most
-    a small share of the smaller footprint, the rounding noise of
-    touching pairs, are returned as 0.
+    The overlap of two convex quads is the convex polygon whose vertices
+    are the corners of each quad inside the other and the crossings of
+    their edges. These (at most 24) candidates are ordered by angle
+    about their centroid and summed with the shoelace formula, as in
+    the OpenPCDet ``iou3d_nms`` kernels. A pair's
+    values pass only through elementwise arithmetic, maxima, stable row
+    sorts and fixed-order row sums, so it gets the same bits alone or
+    inside any batch. Overlaps at most a small share of the smaller
+    footprint, the rounding noise of touching pairs, are returned as 0.
     """
-    # coordinates relative to a's center keep the products small;
-    # (M, 2, 4, 2) over quad (a, b), corner, coordinate
+    m = a.shape[0]
+    rows = np.arange(m)[:, None]
+    # coordinates relative to a's center keep the products small
     o = 0.5 * (a[:, :1] + a[:, 2:3])
-    p = np.stack([a - o, b - o], axis=1)
-    e = p[:, :, _NEXT] - p
-    # (M, 2, 4, 4): side[:, k, i, j] > 0 puts corner i of quad k on the
-    # inner side of edge j of the other quad
-    d = p[:, :, :, None] - p[:, ::-1, None]
-    side = e[:, ::-1, None, :, 0] * d[..., 1] - e[:, ::-1, None, :, 1] * d[..., 0]
+    pa, pb = a - o, b - o
+    ea, eb = pa[:, _NEXT] - pa, pb[:, _NEXT] - pb
+    # (M, 4, 4) over corner/edge i of a and corner/edge j of b:
+    # side_a[i, j] > 0 puts corner i of a on the inner side of edge j of
+    # b, side_b[i, j] > 0 corner j of b on the inner side of edge i of a
+    w = pb[:, None] - pa[:, :, None]
+    side_a = w[..., 0] * eb[:, None, :, 1] - w[..., 1] * eb[:, None, :, 0]
+    side_b = ea[:, :, None, 0] * w[..., 1] - ea[:, :, None, 1] * w[..., 0]
     # sides within the tolerance, relative to the pair's squared extent,
     # count as on the line: such corners stay inside despite rounding,
-    # and only clear sign changes clip, so (nearly) collinear edges,
-    # whose crossing is ill-conditioned, do not clip each other
-    tol = _INSIDE_REL_TOL * np.abs(d).max(axis=(1, 2, 3, 4))[:, None, None, None] ** 2
-    sign = (side > tol).view(np.int8) - (side < -tol).view(np.int8)
-    # edge i, from corner i to i + 1, keeps the t in [0, 1] on the inner
-    # side of all four edges: entering sets lo, leaving sets hi, and an
-    # edge that is outside or only touches the boundary keeps nothing
-    side1, sign1 = side[:, :, _NEXT], sign[:, :, _NEXT]
-    t = side / np.where(sign * sign1 < 0, side - side1, 1.0)
-    lo = np.where(sign < 0, np.where(sign1 > 0, t, 1.0), 0.0).max(axis=3)
-    hi = np.where(sign1 < 0, np.where(sign > 0, t, 0.0), 1.0).min(axis=3)
-    hi = np.maximum(hi, lo)
-    # an edge of b with both ends on the line of an edge of a, running
-    # the same way, keeps nothing: a's edge counts that boundary
-    same_way = (e[:, 1, :, None] * e[:, 0, None]).sum(axis=3) > 0
-    on_a = (sign[:, 1] == 0) & (sign1[:, 1] == 0) & same_way
-    hi[:, 1] = np.where(on_a.any(axis=2), lo[:, 1], hi[:, 1])
-    p0 = p + lo[..., None] * e
-    p1 = p + hi[..., None] * e
-    terms = (p0[..., 0] * p1[..., 1] - p0[..., 1] * p1[..., 0]).reshape(-1, 8)
-    while terms.shape[1] > 1:
-        terms = terms[:, ::2] + terms[:, 1::2]
-    area = 0.5 * terms[:, 0]
-    own = (e[:, :, 0, 0] * e[:, :, 1, 1] - e[:, :, 0, 1] * e[:, :, 1, 0]).min(axis=1)
+    # and only clear sign changes make crossings, so (nearly) collinear
+    # edges, whose crossing is ill-conditioned, give none
+    tol = _INSIDE_REL_TOL * np.abs(w).max(axis=(1, 2, 3))[:, None, None] ** 2
+    sign_a = (side_a > tol).view(np.int8) - (side_a < -tol).view(np.int8)
+    sign_b = (side_b > tol).view(np.int8) - (side_b < -tol).view(np.int8)
+    # edge i of a crosses edge j of b where the ends of each lie on
+    # opposite sides of the other's line, at t in (0, 1) along edge i
+    hit = (sign_a * sign_a[:, _NEXT] < 0) & (sign_b * sign_b[:, :, _NEXT] < 0)
+    t = side_a / np.where(hit, side_a - side_a[:, _NEXT], 1.0)
+    crossings = pa[:, :, None] + t[..., None] * ea[:, :, None]
+    pts = np.concatenate([pa, pb, crossings.reshape(m, 16, 2)], axis=1)
+    valid = np.concatenate(
+        [(sign_a >= 0).all(axis=2), (sign_b >= 0).all(axis=1),
+         hit.reshape(m, 16)], axis=1)
+    # order by a trig-free pseudo-angle in [-1, 3) about the centroid,
+    # which lies inside the overlap; candidates left out sort last and
+    # then repeat the first vertex, which adds nothing to the sum
+    count = np.maximum(valid.sum(axis=1), 1)[:, None]
+    d = pts - (_row_sum(np.where(valid[..., None], pts, 0.0)) / count)[:, None]
+    r = np.abs(d[..., 0]) + np.abs(d[..., 1])
+    p = d[..., 1] / np.where(r > 0.0, r, 1.0)
+    key = np.where(valid, np.where(d[..., 0] >= 0.0, p, 2.0 - p), np.inf)
+    order = np.argsort(key, axis=1, kind="stable")
+    order = np.where(valid[rows, order], order, order[:, :1])
+    v = d[rows, order]
+    vn = v[:, _NEXT24]
+    area = 0.5 * _row_sum(v[..., 0] * vn[..., 1] - v[..., 1] * vn[..., 0])
+    own = np.minimum(ea[:, 0, 0] * ea[:, 1, 1] - ea[:, 0, 1] * ea[:, 1, 0],
+                     eb[:, 0, 0] * eb[:, 1, 1] - eb[:, 0, 1] * eb[:, 1, 0])
     return np.where(area > _AREA_REL_EPS * own, area, 0.0)
 
 

@@ -49,6 +49,8 @@ def degenerate_pairs():
     partly coincide, far from the origin."""
     base = Box3D(np.array([12.3, 0.4, 31.7]), 4.2, 1.5, 1.8, 0.7)
     l, w = base.length, base.width
+    square = Box3D(base.center, 1.0, base.height, 1.0, base.yaw)
+    long_ = Box3D(base.center, 11.0, base.height, 1.0, base.yaw)
     return {
         "identical": (base, shifted(base)),
         "shared_short_edge": (base, shifted(base, l)),
@@ -62,7 +64,30 @@ def degenerate_pairs():
         "flush_nested": (base, shifted(Box3D(base.center, 2.0, 1.0, 1.0, base.yaw),
                                        dw=0.5 * (w - 1.0))),
         "swapped": (base, Box3D(base.center, w, base.height, l, base.yaw + np.pi / 2)),
+        # b's top edge 1e-11 below a's 11 m bottom edge: a's corners are
+        # within the tolerance of b's edge line, b's not of a's
+        "gap_under_long_edge": (long_, shifted(square, dw=-(1.0 + 1e-11))),
+        # b's 11 m bottom edge turned by 9e-12 rad, its ends within 5e-11
+        # of the line of a's bottom edge: the overlap is all of a
+        "tilted_long_flush": (square, Box3D(shifted(square, -4.0).center, 11.0,
+                                            base.height, 1.0, base.yaw + 1e-10 / 11)),
     }
+
+
+def near_collinear_pair(rng):
+    """A random box a and a box b with an edge along the line of a's edge
+    at -width/2, turned and moved off that line by tiny random amounts
+    (or not at all), on either side of it and sliding anywhere along it."""
+    big_l, big_w, l, w = rng.uniform(0.5, 12.0, size=4)
+    a = Box3D(rng.uniform(-40.0, 40.0, size=3), big_l, 1.0, big_w, rng.uniform(-np.pi, np.pi))
+    quarter_turns = rng.integers(4)
+    sign = rng.choice([-1.0, 1.0], size=2) * rng.integers(2, size=2)
+    tilt, offset = sign * 10.0 ** rng.uniform(-14, -7, size=2)
+    center = shifted(a, rng.uniform(-0.5, 0.5) * (big_l + l),
+                     -0.5 * big_w + rng.choice([-0.5, 0.5]) * w + offset).center
+    if quarter_turns % 2:
+        l, w = w, l
+    return a, Box3D(center, l, 1.0, w, a.yaw + quarter_turns * np.pi / 2 + tilt)
 
 
 class TestTypes:
@@ -263,6 +288,7 @@ class TestOverlapKernel:
         rng = np.random.default_rng(17)
         pairs = [(random_box(rng), random_box(rng)) for _ in range(300)]
         pairs += list(degenerate_pairs().values())
+        pairs += [near_collinear_pair(rng) for _ in range(100)]
         corners_a = _footprints([a for a, _ in pairs])[1]
         corners_b = _footprints([b for _, b in pairs])[1]
         batched = _overlap_areas(corners_a, corners_b)
@@ -279,7 +305,8 @@ class TestOverlapKernel:
         base = degenerate_pairs()["identical"][0]
         l, w = base.length, base.width
         pairs += [(base, shifted(base, f * l)) for f in (0.25, 0.5, 0.75)]
-        pairs += [degenerate_pairs()[name] for name in ("flush_nested", "swapped")]
+        pairs += [degenerate_pairs()[name] for name in
+                  ("flush_nested", "swapped", "gap_under_long_edge", "tilted_long_flush")]
         pairs.append((base, Box3D(base.center, l, base.height, w, base.yaw + np.pi)))
         pairs += [(b, a) for a, b in pairs[300:]]
         corners_a = _footprints([a for a, _ in pairs])[1]
@@ -288,6 +315,21 @@ class TestOverlapKernel:
         for (a, b), area in zip(pairs, areas):
             own = min(a.length * a.width, b.length * b.width)
             assert abs(area - clip_overlap_area(a, b)) <= 1e-9 * own
+
+    def test_near_collinear_edges_match_clipping_oracle(self):
+        # the kernel zeroes overlaps up to 1e-9 of the smaller footprint,
+        # which these pairs reach when b only grazes a, so the bound is
+        # twice that share
+        rng = np.random.default_rng(21)
+        pairs = [near_collinear_pair(rng) for _ in range(400)]
+        pairs += [(b, a) for a, b in pairs]
+        corners_a = _footprints([a for a, _ in pairs])[1]
+        corners_b = _footprints([b for _, b in pairs])[1]
+        areas = _overlap_areas(corners_a, corners_b)
+        for (a, b), area in zip(pairs, areas):
+            own = min(a.length * a.width, b.length * b.width)
+            assert abs(area - clip_overlap_area(a, b)) <= 2e-9 * own
+        assert (areas > 0).sum() > 300  # half the pairs lie on a's side
 
     def test_footprints_match_one_row_calls(self):
         rng = np.random.default_rng(18)
@@ -319,6 +361,11 @@ class TestOverlapKernel:
         a, b = pairs["flush_nested"]
         for inter in (_intersection_area_bev(a, b), _intersection_area_bev(b, a)):
             assert inter == pytest.approx(2.0, rel=1e-12)
+        a, b = pairs["gap_under_long_edge"]
+        assert _intersection_area_bev(a, b) == 0.0 == _intersection_area_bev(b, a)
+        a, b = pairs["tilted_long_flush"]
+        for inter in (_intersection_area_bev(a, b), _intersection_area_bev(b, a)):
+            assert inter == pytest.approx(1.0, rel=1e-9)
 
     def test_unit_squares_touching(self):
         a = unit_box()
