@@ -163,7 +163,10 @@ def _scene_from_args(args) -> SyntheticSceneSpec:
 
 
 def _read_attention_csv(path) -> np.ndarray:
-    """Read scores from an 'index,score' CSV as written by gen-scene."""
+    """Read scores from an 'index,score' CSV as written by gen-scene.
+
+    Data row k (from 0) must hold index k, so score k is point k's.
+    """
     scores = []
     with open(path, newline="") as fh:
         for row_no, row in enumerate(csv.reader(fh), 1):
@@ -172,9 +175,13 @@ def _read_attention_csv(path) -> np.ndarray:
             if row_no == 1 and row == ["index", "score"]:
                 continue
             try:
-                score = float(row[-1])
+                index, score = int(row[0]), float(row[-1])
             except ValueError as exc:
                 raise ParseError(f"{path}:{row_no}: {exc}") from None
+            if index != len(scores):
+                raise ParseError(
+                    f"{path}:{row_no}: index {row[0]!r}, expected {len(scores)}"
+                )
             # phrased so that NaN, which fails every comparison, is rejected
             if not 0.0 < score < 1.0:
                 raise ParseError(

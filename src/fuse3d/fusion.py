@@ -12,6 +12,7 @@ verified against finite differences without an autodiff framework.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,16 @@ import numpy as np
 
 from .errors import DimensionMismatch, ParseError, TruncatedFile
 from .numerics import finite_diff_grad, sigmoid
+
+# A block's weight arrays in draw, file and gradient order.
+_WEIGHTS = ("w_img_att", "b_img_att", "w_pt_att", "b_pt_att", "w_out", "b_out")
+_ATT_CHANNELS = 1
+
+
+def _weight_shapes(c_cat: int, c_prev: int, c_out: int) -> list[tuple[int, ...]]:
+    """Shape of each ``_WEIGHTS`` array, in that order."""
+    att, bias = (c_cat, _ATT_CHANNELS), (_ATT_CHANNELS,)
+    return [att, bias, att, bias, (c_cat + c_prev, c_out), (c_out,)]
 
 
 @dataclass
@@ -41,26 +52,19 @@ class AAFParams:
     b_out: np.ndarray      # (c_out,)
 
     def __post_init__(self):
-        for name in ("w_img_att", "b_img_att", "w_pt_att", "b_pt_att",
-                     "w_out", "b_out"):
+        for name in _WEIGHTS:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         c_cat = self.c_img + self.c_pt
-        if self.w_img_att.shape != (c_cat, 1) or self.w_pt_att.shape != (c_cat, 1):
-            raise DimensionMismatch(
-                f"attention weights must be ({c_cat}, 1), got "
-                f"{self.w_img_att.shape} and {self.w_pt_att.shape}"
-            )
-        if self.b_img_att.shape != (1,) or self.b_pt_att.shape != (1,):
-            raise DimensionMismatch("attention biases must have shape (1,)")
+        # c_prev and c_out are read off w_out, so its rank and rows come first
         if self.w_out.ndim != 2 or self.w_out.shape[0] < c_cat:
             raise DimensionMismatch(
                 f"output weights must be (>= {c_cat}, c_out), got {self.w_out.shape}"
             )
-        if self.b_out.shape != (self.w_out.shape[1],):
-            raise DimensionMismatch(
-                f"output bias has shape {self.b_out.shape}, expected "
-                f"({self.w_out.shape[1]},)"
-            )
+        shapes = _weight_shapes(c_cat, self.c_prev, self.c_out)
+        for name, shape in zip(_WEIGHTS, shapes):
+            got = getattr(self, name).shape
+            if got != shape:
+                raise DimensionMismatch(f"{name} must have shape {shape}, got {got}")
 
     @property
     def c_prev(self) -> int:
@@ -118,10 +122,7 @@ class AAFGradients:
     f_fused_prev: np.ndarray
 
 
-_GRAD_GROUPS = (
-    "w_img_att", "b_img_att", "w_pt_att", "b_pt_att", "w_out", "b_out",
-    "f_image", "f_point", "f_fused_prev",
-)
+_GRAD_GROUPS = _WEIGHTS + ("f_image", "f_point", "f_fused_prev")
 
 
 def _check_shapes(params: AAFParams, inp: AAFInput):
@@ -231,31 +232,17 @@ def aaf_backward(
 def init_params(
     c_img: int, c_pt: int, c_prev: int, c_out: int, rng: np.random.Generator
 ) -> AAFParams:
-    """Seeded uniform [-0.1, 0.1] initialization for tests and studies."""
-    c_cat = c_img + c_pt
-
-    def u(*shape):
-        return rng.uniform(-0.1, 0.1, size=shape)
-
-    return AAFParams(
-        c_img=c_img,
-        c_pt=c_pt,
-        w_img_att=u(c_cat, 1),
-        b_img_att=u(1),
-        w_pt_att=u(c_cat, 1),
-        b_pt_att=u(1),
-        w_out=u(c_cat + c_prev, c_out),
-        b_out=u(c_out),
-    )
+    """Seeded uniform [-0.1, 0.1] initialization, drawn in ``_WEIGHTS`` order."""
+    shapes = _weight_shapes(c_img + c_pt, c_prev, c_out)
+    return AAFParams(c_img, c_pt, **{
+        name: rng.uniform(-0.1, 0.1, size=s) for name, s in zip(_WEIGHTS, shapes)
+    })
 
 
 # Serialization layout: five little-endian uint32 channel counts
 # (image, point, previous-fused, attention, output), then the weight
-# arrays as row-major little-endian float64 in the order
-# image-attention weights, image-attention bias, point-attention
-# weights, point-attention bias, output weights, output bias.
+# arrays as row-major little-endian float64 in ``_WEIGHTS`` order.
 _HEADER = struct.Struct("<5I")
-_ATT_CHANNELS = 1
 
 
 def save_params(params: AAFParams, path) -> None:
@@ -263,14 +250,9 @@ def save_params(params: AAFParams, path) -> None:
     header = _HEADER.pack(
         params.c_img, params.c_pt, params.c_prev, _ATT_CHANNELS, params.c_out
     )
-    blob = np.concatenate([
-        params.w_img_att.reshape(-1),
-        params.b_img_att,
-        params.w_pt_att.reshape(-1),
-        params.b_pt_att,
-        params.w_out.reshape(-1),
-        params.b_out,
-    ]).astype("<f8")
+    blob = np.concatenate(
+        [getattr(params, name).reshape(-1) for name in _WEIGHTS]
+    ).astype("<f8")
     Path(path).write_bytes(header + blob.tobytes())
 
 
@@ -285,8 +267,8 @@ def load_params(path) -> AAFParams:
             f"{path}: attention channel count {c_att} unsupported "
             f"(expected {_ATT_CHANNELS})"
         )
-    c_cat = c_img + c_pt
-    counts = [c_cat, 1, c_cat, 1, (c_cat + c_prev) * c_out, c_out]
+    shapes = _weight_shapes(c_img + c_pt, c_prev, c_out)
+    counts = [math.prod(shape) for shape in shapes]
     expected = _HEADER.size + 8 * sum(counts)
     if len(data) != expected:
         raise TruncatedFile(
@@ -296,16 +278,9 @@ def load_params(path) -> AAFParams:
     # one copy, so every array is writable rather than a view of ``data``
     flat = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).copy()
     parts = np.split(flat, np.cumsum(counts)[:-1])
-    return AAFParams(
-        c_img=c_img,
-        c_pt=c_pt,
-        w_img_att=parts[0].reshape(c_cat, 1),
-        b_img_att=parts[1],
-        w_pt_att=parts[2].reshape(c_cat, 1),
-        b_pt_att=parts[3],
-        w_out=parts[4].reshape(c_cat + c_prev, c_out),
-        b_out=parts[5],
-    )
+    return AAFParams(c_img, c_pt, **{
+        name: part.reshape(s) for name, part, s in zip(_WEIGHTS, parts, shapes)
+    })
 
 
 _REL_ERR_FLOOR = 1e-4

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
+from .numerics import fold
 
 # An overlap at most this share of the smaller footprint counts as
 # zero: clipping touching pairs (shared edges and corners) leaves
@@ -32,7 +33,7 @@ _NEXT24 = np.roll(np.arange(24), -1)
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle into [-pi, pi)."""
-    return float(np.mod(theta + np.pi, 2.0 * np.pi) - np.pi)
+    return fold(theta, np.pi)
 
 
 def rotation_y(yaw: float) -> np.ndarray:
@@ -66,6 +67,8 @@ class PointCloud:
                     f"intensity has shape {intensity.shape}, "
                     f"expected ({coords.shape[0]},)"
                 )
+            if not np.isfinite(intensity).all():
+                raise ValueError("point intensities must be finite")
             self.intensity = intensity
 
     def __len__(self) -> int:

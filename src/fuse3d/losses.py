@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, OutOfRange
 from .geometry import Box3D, iou_bev
+from .numerics import fold
 
 _PROB_FLOOR = 1e-12
 _IOU_FLOOR = 1e-6
@@ -105,7 +106,7 @@ def encode_bins(value: float, anchor: float, spec: BinSpec) -> tuple[int, float]
     offset = float(value) - float(anchor)
     r = spec.half_range
     if spec.wrap:
-        offset = (offset + r) % (2.0 * r) - r
+        offset = fold(offset, r)
     elif not -r <= offset < r:
         raise OutOfRange(
             f"offset {offset} outside [{-r}, {r}) for anchor {anchor}"
@@ -135,6 +136,8 @@ def bin_cross_entropy(logits, target_bin: int) -> float:
     l = np.asarray(logits, dtype=np.float64)
     if l.ndim != 1 or l.size == 0:
         raise DimensionMismatch(f"logits must be non-empty 1-D, got {l.shape}")
+    if not np.isfinite(l).all():
+        raise ValueError("logits must be finite")
     if not 0 <= target_bin < l.size:
         raise OutOfRange(f"target bin {target_bin} outside [0, {l.size})")
     m = float(l.max())

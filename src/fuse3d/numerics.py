@@ -17,6 +17,13 @@ _SIGMOID_LO = np.finfo(np.float64).tiny
 _SIGMOID_HI = float(np.nextafter(1.0, 0.0))
 
 
+def fold(value: float, half_range: float) -> float:
+    """Fold a periodic value into the half-open range [-half_range, half_range)."""
+    out = (float(value) + half_range) % (2.0 * half_range) - half_range
+    # the modulo can round up onto the excluded end, the same point as -half_range
+    return -half_range if out >= half_range else out
+
+
 def sigmoid(x) -> np.ndarray:
     """Elementwise logistic function 1 / (1 + exp(-x)).
 

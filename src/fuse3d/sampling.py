@@ -219,13 +219,21 @@ def aad(cloud: PointCloud, sampled) -> tuple[np.ndarray, float]:
     TooFewPoints
         When fewer than 4 indices are given (each point needs three
         neighbors).
+    InvalidCount
+        When the indices are not distinct integers in [0, len(cloud)).
     """
-    idx = np.asarray(sampled, dtype=np.intp)
+    idx = np.asarray(sampled)
     if idx.ndim != 1:
         raise DimensionMismatch(f"sampled must be 1-D, got shape {idx.shape}")
     if idx.size < 4:
         raise TooFewPoints(
             f"need at least 4 sampled points, got {idx.size}"
+        )
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise InvalidCount(f"sampled indices must be integers, got {idx.dtype}")
+    if idx.min() < 0 or idx.max() >= len(cloud) or np.unique(idx).size < idx.size:
+        raise InvalidCount(
+            f"sampled indices must be distinct and lie in [0, {len(cloud)})"
         )
     pts = cloud.coords[idx]
     nearest = np.empty((idx.size, 3))

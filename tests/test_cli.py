@@ -143,6 +143,33 @@ class TestSampleStudy:
                      "--attention", str(att), "--n", "8"]) == 2
         assert f"{att}:4:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reorder", ["reversed", "skipped", "not_integer"])
+    def test_attention_index_out_of_position_is_data_error(
+            self, tmp_path, capsys, reorder):
+        scene_dir = tmp_path / "scene"
+        main(["gen-scene", "--outdir", str(scene_dir)])
+        att = scene_dir / "attention.csv"
+        header, *rows = att.read_text().splitlines()
+        if reorder == "reversed":
+            rows.reverse()
+            line, expected = 2, f"index '{len(rows) - 1}', expected 0"
+        elif reorder == "skipped":
+            del rows[1]
+            line, expected = 3, "index '2', expected 1"
+        else:
+            rows[0] = "0.0," + rows[0].split(",")[1]
+            line, expected = 2, "invalid literal"
+        att.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "study.csv"
+        assert main(["sample-study", "--cloud", str(scene_dir / "cloud.bin"),
+                     "--attention", str(att), "--n", "8",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert f"{att}:{line}:" in err and expected in err
+        assert not out.exists()
+
     def test_cloud_without_attention_scores_every_point_half(self, tmp_path):
         scene_dir = tmp_path / "scene"
         main(["gen-scene", "--outdir", str(scene_dir)])
@@ -175,11 +202,13 @@ class TestSampleStudy:
 
     def test_nonfinite_cloud_is_data_error(self, tmp_path, capsys):
         cloud_path = tmp_path / "cloud.bin"
-        cloud_path.write_bytes(struct.pack("<4f", 1.0, float("nan"), 4.0, 0.0)
-                               + struct.pack("<4f", 1.0, 2.0, 3.0, 0.0))
-        assert main(["sample-study", "--cloud", str(cloud_path),
-                     "--n", "1", "--lambdas", "1.0"]) == 2
-        assert str(cloud_path) in capsys.readouterr().err
+        good = struct.pack("<4f", 1.0, 2.0, 3.0, 0.0)
+        # a non-finite coordinate, then a NaN intensity
+        for bad in ((1.0, float("nan"), 4.0, 0.0), (1.0, 2.0, 4.0, float("nan"))):
+            cloud_path.write_bytes(struct.pack("<4f", *bad) + good)
+            assert main(["sample-study", "--cloud", str(cloud_path),
+                         "--n", "1", "--lambdas", "1.0"]) == 2
+            assert str(cloud_path) in capsys.readouterr().err
 
     def test_default_lambdas(self, tmp_path):
         out = tmp_path / "study.csv"
@@ -312,12 +341,14 @@ class TestProject:
 
     def test_nonfinite_cloud_is_data_error(self, tmp_path, capsys):
         cloud_path = tmp_path / "cloud.bin"
-        cloud_path.write_bytes(struct.pack("<4f", float("inf"), 0.0, 1.0, 0.0))
         calib_path = tmp_path / "calib.txt"
         calib_path.write_text(IDENTITY_CALIB)
-        assert main(["project", "--cloud", str(cloud_path),
-                     "--calib", str(calib_path)]) == 2
-        assert str(cloud_path) in capsys.readouterr().err
+        # a non-finite coordinate, then a NaN intensity
+        for bad in ((float("inf"), 0.0, 1.0, 0.0), (0.0, 0.0, 1.0, float("nan"))):
+            cloud_path.write_bytes(struct.pack("<4f", *bad))
+            assert main(["project", "--cloud", str(cloud_path),
+                         "--calib", str(calib_path)]) == 2
+            assert str(cloud_path) in capsys.readouterr().err
 
     def test_nonfinite_calib_is_data_error(self, tmp_path):
         cloud_path = tmp_path / "cloud.bin"

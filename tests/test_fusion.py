@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from fuse3d import (
     save_params,
 )
 from fuse3d import fusion
-from fuse3d.fusion import _GRAD_GROUPS, _forward, _groups
+from fuse3d.fusion import _GRAD_GROUPS, _WEIGHTS, _forward, _groups
 
 from oracles import scalar_finite_diff_grad
 
@@ -349,6 +349,19 @@ class TestSerialization:
         first = np.frombuffer(blob, dtype="<f8", offset=20)[0]
         assert first == params.w_img_att[0, 0]
 
+    def test_whole_blob_matches_documented_layout(self, tmp_path):
+        params = init_params(2, 3, 4, 5, np.random.default_rng(64))
+        path = tmp_path / "params.bin"
+        save_params(params, path)
+        # header, then image-attention weights/bias, point-attention
+        # weights/bias, output weights/bias, row-major little-endian
+        expected = np.array([2, 3, 4, 1, 5], dtype="<u4").tobytes() + b"".join(
+            np.ascontiguousarray(a, dtype="<f8").tobytes() for a in (
+                params.w_img_att, params.b_img_att, params.w_pt_att,
+                params.b_pt_att, params.w_out, params.b_out))
+        assert path.read_bytes() == expected
+        assert len(expected) == 20 + 8 * (5 + 1 + 5 + 1 + 9 * 5 + 5)
+
     def test_truncated_blob_rejected(self, tmp_path):
         rng = np.random.default_rng(62)
         params = init_params(1, 1, 1, 1, rng)
@@ -370,6 +383,20 @@ class TestSerialization:
         path.write_bytes(header + b"\x00" * 64)
         with pytest.raises(ParseError):
             load_params(path)
+
+    def test_seeded_init_draws_each_array_in_turn(self):
+        params = init_params(2, 3, 4, 5, np.random.default_rng(78))
+        rng = np.random.default_rng(78)
+        for name, shape in (("w_img_att", (5, 1)), ("b_img_att", (1,)),
+                            ("w_pt_att", (5, 1)), ("b_pt_att", (1,)),
+                            ("w_out", (9, 5)), ("b_out", (5,))):
+            np.testing.assert_array_equal(
+                getattr(params, name), rng.uniform(-0.1, 0.1, size=shape))
+
+    def test_weight_table_lists_every_array_field_in_order(self):
+        names = [f.name for f in fields(AAFParams)]
+        assert names[:2] == ["c_img", "c_pt"] and _WEIGHTS == tuple(names[2:])
+        assert _GRAD_GROUPS[:len(_WEIGHTS)] == _WEIGHTS
 
     def test_seeded_init_is_reproducible(self):
         a = init_params(2, 2, 2, 2, np.random.default_rng(77))

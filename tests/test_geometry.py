@@ -98,6 +98,9 @@ class TestTypes:
     def test_cloud_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             PointCloud(np.array([[0.0, np.nan, 0.0]]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="intensities must be finite"):
+                PointCloud(np.zeros((2, 3)), intensity=np.array([0.0, bad]))
 
     def test_cloud_intensity_length_checked(self):
         with pytest.raises(DimensionMismatch):
@@ -126,6 +129,10 @@ class TestTypes:
         assert wrap_angle(np.pi) == pytest.approx(-np.pi)
         assert wrap_angle(-np.pi) == pytest.approx(-np.pi)
         assert wrap_angle(0.25) == pytest.approx(0.25)
+        # the modulo rounds this one onto +pi, the excluded end
+        assert wrap_angle(np.nextafter(-np.pi, -np.inf)) == -np.pi
+        assert Box3D(np.zeros(3), 1.0, 1.0, 1.0,
+                     np.nextafter(-np.pi, -np.inf)).yaw == -np.pi
 
 
 class TestProjection:

@@ -124,6 +124,11 @@ class TestBins:
         decoded = decode_bins(index, residual, 0.0, spec)
         assert abs(wrap_angle(decoded - (np.pi + 0.1))) < 1e-12
 
+    def test_yaw_just_below_lower_edge_folds_into_first_bin(self):
+        # the fold rounds onto +pi; the half-open range maps that to -pi
+        angle = float(np.nextafter(-np.pi, -np.inf))
+        assert encode_bins(angle, 0.0, BinConfig().yaw) == (0, -0.5)
+
     def test_yaw_roundtrip_around_boundary(self):
         spec = BinConfig().yaw
         rng = np.random.default_rng(71)
@@ -177,6 +182,11 @@ class TestBinCrossEntropy:
             bin_cross_entropy(np.zeros(4), 4)
         with pytest.raises(DimensionMismatch):
             bin_cross_entropy(np.zeros((2, 2)), 0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_logits_rejected(self, bad):
+        with pytest.raises(ValueError, match="logits must be finite"):
+            bin_cross_entropy([bad, 0.0], 0)
 
 
 class TestIouRegLoss:

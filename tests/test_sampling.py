@@ -252,6 +252,27 @@ class TestAad:
         with pytest.raises(DimensionMismatch, match="1-D"):
             aad(cloud, [[0, 1], [2, 3]])
 
+    @pytest.mark.parametrize("sampled, match", [
+        ([-1, 0, 1, 2], r"distinct and lie in \[0, 10\)"),
+        ([0, 1, 2, 10], r"distinct and lie in \[0, 10\)"),
+        ([0.5, 1, 2, 3], "integers"),
+        (np.array([0.0, 1.0, 2.0, 3.0]), "integers"),
+        ([0, 1, 2, 2], r"distinct and lie in \[0, 10\)"),
+    ])
+    def test_bad_indices_rejected(self, sampled, match):
+        cloud = make_cloud(np.random.default_rng(44), 10)
+        with pytest.raises(InvalidCount, match=match):
+            aad(cloud, sampled)
+
+    def test_any_integer_dtype_accepted(self):
+        cloud = make_cloud(np.random.default_rng(45), 10)
+        idx = [0, 3, 5, 9]
+        expected = aad(cloud, idx)
+        for dtype in (np.uint8, np.int32, np.int64):
+            per_point, mean = aad(cloud, np.array(idx, dtype=dtype))
+            np.testing.assert_array_equal(per_point, expected[0])
+            assert mean == expected[1]
+
     @pytest.mark.parametrize(
         "k", [_AAD_CHUNK - 5, _AAD_CHUNK, 2 * _AAD_CHUNK + 37])
     def test_chunked_rows_equal_dense_formula(self, k):
