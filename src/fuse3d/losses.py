@@ -113,8 +113,8 @@ def encode_bins(value: float, anchor: float, spec: BinSpec) -> tuple[int, float]
         )
     shifted = offset + r  # in [0, 2r)
     index = int(shifted // spec.width)
-    if index >= spec.num_bins:  # guards float roundoff at the top edge
-        index = spec.num_bins - 1
+    if index >= spec.num_bins:  # float roundoff at the top edge
+        return spec.num_bins - 1, math.nextafter(0.5, 0.0)
     residual = (shifted - (index + 0.5) * spec.width) / spec.width
     return index, residual
 

@@ -32,9 +32,33 @@ class SamplerConfig:
     seed_index: int = 0
 
 
-# rows of the AAD distance matrix held at once; bounds aad's working
-# memory to O(_AAD_CHUNK * k) instead of O(k * k)
-_AAD_CHUNK = 128
+# The x-window of farthest_point_sampling and aad. Points are sorted by
+# x once; a query wants every point j whose squared distance d2 to some
+# point p with x in [left, right] is at most bound. d2 adds non-negative
+# terms to fl(dx * dx), dx = fl(x_j - px), and rounding is monotone, so
+# fl(dx * dx) <= bound. With r = fl(sqrt(bound)) and u = 2**-53, sqrt and
+# the subtraction each round by a factor within 1 -+ u, so
+# |x_j - px| <= r * (1 + 3u). The edges fl(left - reach), fl(right + reach)
+# move by at most u * (|x| + reach), reach by a few u * reach, and any
+# value that underflows by less than tiny. The relative margin 1e-9 and
+# pad >= 1e-9 * max|x| + tiny cover all of it, and a bound a few ulps
+# low, so each such point, and each point with x in [left, right], lies
+# strictly between the edges. An infinite bound gives every point.
+
+
+def _x_index(sx: np.ndarray) -> tuple[memoryview, float]:
+    """The ascending x values as a buffer view, which bisect searches in
+    less time per call than searchsorted, and the pad of ``_x_window``."""
+    pad = 1e-9 * max(abs(sx[0]), abs(sx[-1])) + np.finfo(np.float64).tiny
+    return memoryview(sx), float(pad)
+
+
+def _x_window(x_sorted, left: float, right: float, bound: float,
+              pad: float) -> tuple[int, int]:
+    """[lo, hi) of the x-sorted points that the rule above keeps."""
+    reach = math.sqrt(bound) * (1.0 + 1e-9) + pad
+    lo = bisect.bisect_left(x_sorted, left - reach)
+    return lo, bisect.bisect_left(x_sorted, right + reach, lo)
 
 
 def farthest_point_sampling(
@@ -75,24 +99,7 @@ def farthest_point_sampling(
         raise InvalidCount(f"seed_index {seed_index} outside [0, {total})")
     order = np.argsort(coords[:, 0], kind="stable")
     pts = coords.T.take(order, axis=1)
-    sx = pts[0]
-    # bisect on a buffer view of sx costs less per call than searchsorted
-    x_sorted = memoryview(sx)
-    # Window. At the top of a pick, bound = min_d2[last] is the largest
-    # running minimum of any unpicked point, so the update can lower
-    # only points with d2 < bound. d2 adds non-negative terms to
-    # fl(dx * dx), dx = fl(x_j - px), and rounding is monotone, so
-    # d2 >= fl(dx * dx) and a point that is lowered has dx * dx < bound.
-    # With r = fl(sqrt(bound)) and u = 2**-53, sqrt and the subtraction
-    # each round by a factor within 1 -+ u, so |x_j - px| < r * (1 + 3u).
-    # The computed edges fl(px -+ reach) move by at most
-    # u * (|px| + reach), reach itself by a few u * reach, and any value
-    # that underflows by less than tiny. The relative margin 1e-9 and
-    # the absolute one, pad >= 1e-9 * max|x| + tiny, cover all of it,
-    # so every point that can be lowered lies strictly between the
-    # edges. The seed's bound is inf, so the first window is everything.
-    x_max = max(abs(sx[0]), abs(sx[-1]))
-    pad = float(1e-9 * x_max + np.finfo(np.float64).tiny)
+    x_sorted, pad = _x_index(pts[0])
     # min squared distance from each point to the chosen set, in
     # original order so argmax breaks ties toward the lower index;
     # chosen entries are forced negative so argmax never revisits them
@@ -103,6 +110,8 @@ def farthest_point_sampling(
     for k in range(1, n):
         p = coords[last, :, None]
         px = float(p[0, 0])
+        # _x_window inlined (a call per pick costs 1%): min_d2[last] is the
+        # largest running minimum of any unpicked point, inf for the seed
         reach = math.sqrt(min_d2[last]) * (1.0 + 1e-9) + pad
         lo = bisect.bisect_left(x_sorted, px - reach)
         hi = bisect.bisect_left(x_sorted, px + reach, lo)
@@ -206,8 +215,12 @@ def aad(cloud: PointCloud, sampled) -> tuple[np.ndarray, float]:
     sampled points of the squared Euclidean distance (the literal
     definition). Lower values mean a more clustered sample.
 
-    Distances are computed ``_AAD_CHUNK`` rows at a time, so working
-    memory is O(_AAD_CHUNK * k) for k sampled points.
+    The search is exact: each point's third-nearest distance is bounded
+    from its Morton (x-z interleaved) neighbours, and each block of 32
+    x-sorted points is measured only against the x-window (that of
+    ``farthest_point_sampling``) holding every point within its bounds.
+    Each point gets the three distances of the full k x k matrix, bit
+    for bit, sorted before the mean. Working memory is O(k + 32 * window).
 
     Returns
     -------
@@ -235,16 +248,43 @@ def aad(cloud: PointCloud, sampled) -> tuple[np.ndarray, float]:
         raise InvalidCount(
             f"sampled indices must be distinct and lie in [0, {len(cloud)})"
         )
-    pts = cloud.coords[idx]
-    nearest = np.empty((idx.size, 3))
-    for lo in range(0, idx.size, _AAD_CHUNK):
-        block = pts[lo:lo + _AAD_CHUNK]
-        diff = block[:, None, :] - pts[None, :, :]
+    k = idx.size
+    order = np.argsort(cloud.coords[idx, 0], kind="stable")
+    pts = cloud.coords[idx[order]]  # x-sorted
+    # bound each point's third-nearest d2 by its third-nearest of +-8
+    # neighbours in Morton (x-z interleaved) order; the order only sets
+    # the window sizes, any three other points give a valid bound
+    xz = pts[:, ::2] - pts[:, ::2].min(axis=0)
+    cell = (xz / np.maximum(xz.max(axis=0), np.finfo(np.float64).tiny)
+            * 65535).astype(np.int64).T
+    for shift, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333),
+                        (1, 0x55555555)):
+        cell = (cell | cell << shift) & mask
+    morton = np.argsort(cell[0] << 1 | cell[1], kind="stable")
+    near = np.full((k, 16), np.inf)  # rows in x order
+    for step in range(1, 9):
+        i, j = morton[:-step], morton[step:]
+        d = pts[j] - pts[i]
+        near[j, step - 1] = near[i, step + 7] = np.einsum("ij,ij->i", d, d)
+    near.partition(2, axis=1)
+    # the exact search, rows r0:r1 (32 x-sorted points) at a time
+    cols = pts.T.copy()
+    x_sorted, pad = _x_index(cols[0])
+    nearest = np.empty((k, 3))
+    for r0 in range(0, k, 32):
+        r1 = min(r0 + 32, k)
+        lo, hi = _x_window(x_sorted, x_sorted[r0], x_sorted[r1 - 1],
+                           near[r0:r1, 2].max(), pad)
+        # the (rows, window, 3) differences, written one coordinate at a
+        # time so that the subtraction runs along the window
+        diff = np.empty((r1 - r0, hi - lo, 3))
+        np.subtract(cols[:, r0:r1, None], cols[:, None, lo:hi],
+                    out=diff.transpose(2, 0, 1))
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        rows = np.arange(len(block))
-        d2[rows, lo + rows] = np.inf
+        np.fill_diagonal(d2[:, r0 - lo:], np.inf)
         d2.partition(2, axis=1)
-        nearest[lo:lo + len(block)] = d2[:, :3]
+        nearest[order[r0:r1]] = d2[:, :3]
+    nearest.sort(axis=1)
     per_point = nearest.mean(axis=1)
     return per_point, float(per_point.mean())
 

@@ -4,7 +4,7 @@ Each oracle takes a different computational path from the code it
 verifies: the brute-force sampler oracle recomputes minimum distances
 from scratch every round, the row-wise one reduces (N, 3) rows where the
 library updates coordinate columns in place, the AAD oracle builds the
-whole distance matrix where the library works in row chunks, box
+whole distance matrix where the library searches x-windows, box
 containment goes through corner/edge projections instead of frame
 derotation, the IoU oracles count Monte-Carlo samples, the overlap area
 oracle clips one polygon vertex by vertex where the library clips each
@@ -50,11 +50,16 @@ def rowwise_fps(coords: np.ndarray, n: int, seed_index: int = 0) -> list[int]:
 
 
 def dense_aad(coords: np.ndarray) -> tuple[np.ndarray, float]:
-    """Squared-distance AAD from the full (k, k, 3) difference tensor."""
+    """Squared-distance AAD from the full (k, k, 3) difference tensor.
+
+    Each point's three nearest squared distances are sorted before the
+    mean, so the result does not depend on the order partition leaves.
+    """
     diff = coords[:, None, :] - coords[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     np.fill_diagonal(d2, np.inf)
-    per_point = np.partition(d2, 2, axis=1)[:, :3].mean(axis=1)
+    nearest = np.sort(np.partition(d2, 2, axis=1)[:, :3], axis=1)
+    per_point = nearest.mean(axis=1)
     return per_point, float(per_point.mean())
 
 

@@ -118,6 +118,30 @@ class TestBins:
             assert -0.5 <= residual < 0.5
             assert abs(decode_bins(index, residual, anchor, self.spec) - value) < 1e-12
 
+    def test_top_edge_residual_below_half(self):
+        # offset + half_range rounds up onto 2 * half_range here; the top
+        # bin's residual must still lie in [-0.5, 0.5)
+        value = float(np.nextafter(3.0, 0.0))
+        index, residual = encode_bins(value, 0.0, self.spec)
+        assert (index, residual) == (11, float(np.nextafter(0.5, 0.0)))
+        assert decode_bins(index, residual, 0.0, self.spec) \
+            == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        BinSpec(3.0, 12), BinSpec(3.0, 12, wrap=True), BinConfig().yaw])
+    def test_values_just_below_top_edge_stay_in_range(self, spec):
+        rng = np.random.default_rng(72)
+        for anchor in [0.0, *rng.uniform(-10, 10, size=50)]:
+            value = anchor + spec.half_range
+            for _ in range(4):
+                value = float(np.nextafter(value, -np.inf))
+                try:
+                    index, residual = encode_bins(value, anchor, spec)
+                except OutOfRange:  # anchor + half_range rounded up
+                    continue
+                assert 0 <= index < spec.num_bins
+                assert -0.5 <= residual < 0.5
+
     def test_yaw_wraps(self):
         spec = BinConfig().yaw
         index, residual = encode_bins(np.pi + 0.1, 0.0, spec)

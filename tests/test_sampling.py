@@ -18,7 +18,7 @@ from fuse3d import (
     rotate_y,
     scale,
 )
-from fuse3d.sampling import _AAD_CHUNK
+from fuse3d.sampling import _x_index, _x_window
 from oracles import brute_fps, dense_aad, rowwise_fps
 
 
@@ -42,13 +42,17 @@ def large_clouds():
 
 def window_edge_clouds():
     """Clouds on which an x-window could go wrong: x never varies, most
-    distances tie, x sits far from zero in fine steps, neighbouring x
-    values differ by one ulp, or x is so large that its ulp is 1 and
-    the window edges px -+ r round by up to half a unit."""
+    distances tie, x sits far from zero (either side) in fine steps,
+    neighbouring x values differ by one ulp, x is so large that its ulp
+    is 1 and the window edges px -+ r round by up to half a unit, each
+    point has four copies so that many windows have zero reach and end
+    on equal x, or a few points lie so far out that a reach spans the
+    whole cloud."""
     rng = np.random.default_rng(46)
     axis = np.arange(7.0)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
     ulp = np.spacing(1.0)
+    far = 1e150 * np.array([-3.0, -2.0, 2.0, 3.0])
     return {
         "equal_x": np.column_stack(
             [np.full(600, 2.5), rng.uniform(-10, 10, size=(600, 2))]),
@@ -62,7 +66,52 @@ def window_edge_clouds():
         "x_ulp_one": np.column_stack([
             2.0**52 + rng.integers(0, 12, size=400),
             rng.integers(0, 4, size=(400, 2))]).astype(float),
+        "negative_far_x_mm_steps": np.column_stack([
+            -1e6 - 1e-3 * rng.integers(0, 400, size=800),
+            1e-3 * rng.integers(0, 20, size=(800, 2))]),
+        "negative_x_ulp_one": np.column_stack([
+            -2.0**52 - rng.integers(0, 12, size=400),
+            rng.integers(0, 4, size=(400, 2))]).astype(float),
+        "four_copies": np.repeat(
+            rng.integers(-20, 20, size=(150, 3)).astype(float), 4, axis=0),
+        "far_spread": np.vstack([
+            rng.uniform(-1, 1, size=(300, 3)),
+            np.column_stack([far, far[::-1], np.zeros(4)])]),
     }
+
+
+WINDOW_EDGE_NAMES = list(window_edge_clouds())
+
+
+def aad_clouds(k):
+    """Clouds of at least k points on which a windowed 3-NN could go
+    wrong: tight clusters, four copies of each point (third-nearest
+    bounds of 0), an integer lattice full of exact ties, one x for every
+    point, and one far outlier whose block's window spans the sample."""
+    rng = np.random.default_rng(47)
+    centers = rng.uniform(-20, 20, size=(4, 3))
+    axis = np.arange(5.0)
+    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+    outlier = rng.uniform(-5, 5, size=(k, 3))
+    outlier[k // 2] = [900.0, -40.0, -700.0]
+    return {
+        "clustered": centers[rng.integers(0, 4, size=k)]
+        + rng.normal(scale=0.3, size=(k, 3)),
+        "duplicated": np.repeat(rng.uniform(-5, 5, size=(k // 4 + 1, 3)), 4,
+                                axis=0),
+        "lattice": lattice.reshape(-1, 3),
+        "equal_x": np.column_stack(
+            [np.full(k, -7.25), rng.uniform(-3, 3, size=(k, 2))]),
+        "far_outlier": outlier,
+    }
+
+
+def assert_aad_equals_dense_formula(coords, idx):
+    per_point, mean = aad(PointCloud(coords), idx)
+    expected_per_point, expected_mean = dense_aad(coords[idx])
+    np.testing.assert_array_equal(per_point, expected_per_point)
+    assert mean == expected_mean
+    return per_point
 
 
 class TestFarthestPointSampling:
@@ -113,9 +162,7 @@ class TestFarthestPointSampling:
         got = farthest_point_sampling(cloud, 1434, seed_index=7).tolist()
         assert got == rowwise_fps(cloud.coords, 1434, seed_index=7)
 
-    @pytest.mark.parametrize(
-        "name",
-        ["equal_x", "tripled_grid", "far_x_mm_steps", "ulp_apart_x", "x_ulp_one"])
+    @pytest.mark.parametrize("name", WINDOW_EDGE_NAMES)
     def test_window_edge_cases_match_rowwise_oracle(self, name):
         coords = window_edge_clouds()[name]
         n = len(coords)
@@ -273,16 +320,41 @@ class TestAad:
             np.testing.assert_array_equal(per_point, expected[0])
             assert mean == expected[1]
 
+    @pytest.mark.parametrize("k", [4, 5, 31, 32, 33, 100, 2 * 32 + 37])
     @pytest.mark.parametrize(
-        "k", [_AAD_CHUNK - 5, _AAD_CHUNK, 2 * _AAD_CHUNK + 37])
-    def test_chunked_rows_equal_dense_formula(self, k):
-        rng = np.random.default_rng(48)
-        cloud = make_cloud(rng, 1000)
-        idx = rng.permutation(1000)[:k]
-        per_point, mean = aad(cloud, idx)
-        expected_per_point, expected_mean = dense_aad(cloud.coords[idx])
-        np.testing.assert_array_equal(per_point, expected_per_point)
-        assert mean == expected_mean
+        "name", ["clustered", "duplicated", "lattice", "equal_x", "far_outlier"])
+    def test_windowed_rows_equal_dense_formula(self, name, k):
+        coords = aad_clouds(k)[name]
+        idx = np.random.default_rng(48).permutation(len(coords))[:k]
+        assert_aad_equals_dense_formula(coords, idx)
+
+    @pytest.mark.parametrize("name", WINDOW_EDGE_NAMES)
+    def test_window_edge_cases_equal_dense_formula(self, name):
+        coords = window_edge_clouds()[name]
+        idx = np.random.default_rng(49).permutation(len(coords))
+        assert_aad_equals_dense_formula(coords, idx)
+
+    def test_overflowing_distances_give_infinite_reach(self):
+        # squared distances from the far points overflow to inf, so their
+        # bounds, and the windows of their blocks, cover every point
+        rng = np.random.default_rng(50)
+        far = 1e155 * np.array([-5.0, -4, -3, -2, -1, 1, 2, 3, 4, 5])
+        coords = np.vstack([rng.uniform(-1, 1, size=(40, 3)),
+                            np.column_stack([far, np.zeros((10, 2))])])
+        idx = rng.permutation(50)
+        per_point = assert_aad_equals_dense_formula(coords, idx)
+        assert np.isinf(per_point[idx >= 40]).all()
+        assert np.isfinite(per_point[idx < 40]).all()
+
+
+def test_x_window_keeps_equal_x_at_zero_reach_and_all_at_infinite():
+    sx = np.array([-3.0, -1.0, -1.0, 0.0, 0.0, 0.0, 2.0])
+    x_sorted, pad = _x_index(sx)
+    assert _x_window(x_sorted, 0.0, 0.0, 0.0, pad) == (3, 6)
+    assert _x_window(x_sorted, -1.0, 0.0, 0.0, pad) == (1, 6)
+    # dx * dx equal to the bound is kept
+    assert _x_window(x_sorted, 2.0, 2.0, 4.0, pad) == (3, 7)
+    assert _x_window(x_sorted, -3.0, -3.0, np.inf, pad) == (0, 7)
 
 
 class TestLambdaSweep:
