@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, TruncatedFile
-from .numerics import finite_diff_grad, sigmoid
+from .numerics import checked_array, finite_diff_grad, sigmoid
 
 # A block's weight arrays in draw, file and gradient order.
 _WEIGHTS = ("w_img_att", "b_img_att", "w_pt_att", "b_pt_att", "w_out", "b_out")
@@ -53,18 +53,15 @@ class AAFParams:
 
     def __post_init__(self):
         for name in _WEIGHTS:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            setattr(self, name, checked_array(getattr(self, name), name))
         c_cat = self.c_img + self.c_pt
         # c_prev and c_out are read off w_out, so its rank and rows come first
         if self.w_out.ndim != 2 or self.w_out.shape[0] < c_cat:
             raise DimensionMismatch(
                 f"output weights must be (>= {c_cat}, c_out), got {self.w_out.shape}"
             )
-        shapes = _weight_shapes(c_cat, self.c_prev, self.c_out)
-        for name, shape in zip(_WEIGHTS, shapes):
-            got = getattr(self, name).shape
-            if got != shape:
-                raise DimensionMismatch(f"{name} must have shape {shape}, got {got}")
+        for name, shape in zip(_WEIGHTS, _weight_shapes(c_cat, self.c_prev, self.c_out)):
+            checked_array(getattr(self, name), name, shape)
 
     @property
     def c_prev(self) -> int:
@@ -84,20 +81,11 @@ class AAFInput:
     f_fused_prev: np.ndarray  # (N, c_prev) running fused feature
 
     def __post_init__(self):
-        for name in ("f_image", "f_point", "f_fused_prev"):
-            value = np.asarray(getattr(self, name), dtype=np.float64)
-            if value.ndim != 2:
-                raise DimensionMismatch(
-                    f"{name} must be 2-D (N, channels), got shape {value.shape}"
-                )
-            setattr(self, name, value)
-        n = self.f_image.shape[0]
-        if self.f_point.shape[0] != n or self.f_fused_prev.shape[0] != n:
-            raise DimensionMismatch(
-                "f_image, f_point, f_fused_prev must have equal row counts, "
-                f"got {self.f_image.shape[0]}, {self.f_point.shape[0]}, "
-                f"{self.f_fused_prev.shape[0]}"
-            )
+        names = ("f_image", "f_point", "f_fused_prev")
+        for name in names:
+            setattr(self, name, checked_array(getattr(self, name), name, ("N", "C")))
+        for name in names[1:]:  # the row count is f_image's
+            checked_array(getattr(self, name), name, (len(self.f_image), "C"))
 
 
 @dataclass
@@ -185,12 +173,7 @@ def aaf_backward(
     """
     _check_shapes(params, inp)
     cat, att_i, att_p, gated, _ = _forward(*_groups(params, inp))
-    up = np.asarray(upstream, dtype=np.float64)
-    n = inp.f_image.shape[0]
-    if up.shape != (n, params.c_out):
-        raise DimensionMismatch(
-            f"upstream has shape {up.shape}, expected ({n}, {params.c_out})"
-        )
+    up = checked_array(upstream, "upstream", (len(inp.f_image), params.c_out))
     ci, cp = params.c_img, params.c_pt
 
     d_gated = up @ params.w_out.T

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .numerics import fold
+from .numerics import checked_array, fold
 
 # An overlap at most this share of the smaller footprint counts as
 # zero: clipping touching pairs (shared edges and corners) leaves
@@ -54,22 +54,11 @@ class PointCloud:
     intensity: np.ndarray | None = None
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.float64)
-        if coords.ndim != 2 or coords.shape[1] != 3:
-            raise DimensionMismatch(f"coords must be (N, 3), got {coords.shape}")
-        if not np.isfinite(coords).all():
-            raise ValueError("point coordinates must be finite")
-        self.coords = coords
+        self.coords = checked_array(self.coords, "point coordinates", ("N", 3),
+                                    finite=True)
         if self.intensity is not None:
-            intensity = np.asarray(self.intensity, dtype=np.float64)
-            if intensity.shape != (coords.shape[0],):
-                raise DimensionMismatch(
-                    f"intensity has shape {intensity.shape}, "
-                    f"expected ({coords.shape[0]},)"
-                )
-            if not np.isfinite(intensity).all():
-                raise ValueError("point intensities must be finite")
-            self.intensity = intensity
+            self.intensity = checked_array(self.intensity, "point intensities",
+                                           (len(self.coords),), finite=True)
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -92,11 +81,7 @@ class Box3D:
     yaw: float
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=np.float64)
-        if center.shape != (3,):
-            raise DimensionMismatch(f"center must be (3,), got {center.shape}")
-        if not np.isfinite(center).all():
-            raise ValueError("box center must be finite")
+        center = checked_array(self.center, "box center", (3,), finite=True)
         self.length = float(self.length)
         self.height = float(self.height)
         self.width = float(self.width)
@@ -112,15 +97,6 @@ class Box3D:
     @property
     def volume(self) -> float:
         return self.length * self.height * self.width
-
-
-def _as_projection(m) -> np.ndarray:
-    out = np.asarray(m, dtype=np.float64)
-    if out.shape != (3, 4):
-        raise DimensionMismatch(f"projection matrix must be (3, 4), got {out.shape}")
-    if not np.isfinite(out).all():
-        raise ValueError("projection matrix must be finite")
-    return out
 
 
 def project_points(coords, projection) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,10 +117,8 @@ def project_points(coords, projection) -> tuple[np.ndarray, np.ndarray, np.ndarr
     depth : (N,) ndarray
         Projected depth in meters.
     """
-    m = _as_projection(projection)
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.ndim != 2 or coords.shape[1] != 3:
-        raise DimensionMismatch(f"coords must be (N, 3), got {coords.shape}")
+    m = checked_array(projection, "projection matrix", (3, 4), finite=True)
+    coords = checked_array(coords, "coords", ("N", 3))
     uvd = coords @ m[:, :3].T + m[:, 3]
     depth = uvd[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -171,9 +145,7 @@ def bilinear_sample(feature_map, us, vs) -> np.ndarray:
     mirroring the convention that invisible points contribute no image
     feature.
     """
-    fmap = np.asarray(feature_map, dtype=np.float64)
-    if fmap.ndim != 3:
-        raise DimensionMismatch(f"feature map must be (H, W, C), got {fmap.shape}")
+    fmap = checked_array(feature_map, "feature map", ("H", "W", "C"))
     h, w, c = fmap.shape
     us, vs = np.broadcast_arrays(np.asarray(us, dtype=np.float64),
                                  np.asarray(vs, dtype=np.float64))
@@ -368,9 +340,7 @@ def _greedy_nms(boxes, scores, iou_threshold: float, top=None):
         )
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-    scores = np.asarray(scores, dtype=np.float64)
-    if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")
+    scores = checked_array(scores, "scores", finite=True)
     order = np.argsort(-scores, kind="stable")[:top]
     centers, corners, areas, radii = _footprints([boxes[i] for i in order])
     alive = np.ones(len(order), dtype=bool)

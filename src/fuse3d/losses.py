@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, OutOfRange
 from .geometry import Box3D, iou_bev
-from .numerics import fold
+from .numerics import checked_array, fold
 
 _PROB_FLOOR = 1e-12
 _IOU_FLOOR = 1e-6
@@ -53,6 +53,9 @@ def focal_loss(c_t: float, cfg: FocalConfig = FocalConfig()) -> float:
 
 def smooth_l1(pred: float, target: float) -> float:
     """Quadratic near zero, linear past |pred - target| = 1."""
+    # phrased so that NaN, which fails every comparison, is rejected
+    if not (abs(pred) < math.inf and abs(target) < math.inf):
+        raise DomainError(f"smooth_l1 needs finite arguments, got {pred}, {target}")
     d = abs(pred - target)
     return float(0.5 * d * d if d < 1.0 else d - 0.5)
 
@@ -122,22 +125,26 @@ def encode_bins(value: float, anchor: float, spec: BinSpec) -> tuple[int, float]
 def decode_bins(
     bin_index: int, residual: float, anchor: float, spec: BinSpec
 ) -> float:
-    """Invert :func:`encode_bins` back to a continuous value."""
+    """Invert :func:`encode_bins`: a non-wrapping pair whose exact value lies
+    in the search range decodes into it, as :func:`encode_bins` measures it."""
     if not 0 <= bin_index < spec.num_bins:
-        raise OutOfRange(
-            f"bin {bin_index} outside [0, {spec.num_bins})"
-        )
-    return float(anchor - spec.half_range
-                 + (bin_index + 0.5 + residual) * spec.width)
+        raise OutOfRange(f"bin {bin_index} outside [0, {spec.num_bins})")
+    r = spec.half_range
+    value = float(anchor - r + (bin_index + 0.5 + residual) * spec.width)
+    if not spec.wrap and -0.5 - bin_index <= residual < spec.num_bins - bin_index - 0.5:
+        # rounding can land on or past an edge; step back inside
+        while value - anchor >= r:
+            value = math.nextafter(value, -math.inf)
+        while value - anchor < -r:
+            value = math.nextafter(value, math.inf)
+    return value
 
 
 def bin_cross_entropy(logits, target_bin: int) -> float:
     """Softmax negative log-likelihood of the target bin."""
-    l = np.asarray(logits, dtype=np.float64)
-    if l.ndim != 1 or l.size == 0:
+    l = checked_array(logits, "logits", ("C",), finite=True)
+    if l.size == 0:
         raise DimensionMismatch(f"logits must be non-empty 1-D, got {l.shape}")
-    if not np.isfinite(l).all():
-        raise ValueError("logits must be finite")
     if not 0 <= target_bin < l.size:
         raise OutOfRange(f"target bin {target_bin} outside [0, {l.size})")
     m = float(l.max())
@@ -165,14 +172,8 @@ class BoxTarget:
     residuals: np.ndarray  # (7,)
 
     def __post_init__(self):
-        residuals = np.asarray(self.residuals, dtype=np.float64)
-        if residuals.shape != (7,):
-            raise DimensionMismatch(
-                f"residuals must have shape (7,), got {residuals.shape}"
-            )
-        if not np.isfinite(residuals).all():
-            raise ValueError("residuals must be finite")
-        self.residuals = residuals
+        self.residuals = checked_array(self.residuals, "residuals", (7,),
+                                       finite=True)
 
 
 @dataclass
@@ -187,14 +188,8 @@ class RegressionPrediction:
 
     def __post_init__(self):
         for name in ("logits_x", "logits_z", "logits_yaw", "residuals"):
-            value = np.asarray(getattr(self, name), dtype=np.float64)
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite")
-            setattr(self, name, value)
-        if self.residuals.shape != (7,):
-            raise DimensionMismatch(
-                f"residuals must have shape (7,), got {self.residuals.shape}"
-            )
+            setattr(self, name, checked_array(getattr(self, name), name, finite=True))
+        checked_array(self.residuals, "residuals", (7,))
 
 
 def encode_box_target(gt: Box3D, anchor: Box3D, cfg: BinConfig = BinConfig()) -> BoxTarget:
@@ -284,4 +279,7 @@ def total_loss(
     rpn_cls: float, rpn_reg: float, rcnn_cls: float, rcnn_reg: float
 ) -> float:
     """Two-stage objective: plain sum of all four stage terms."""
+    terms = (rpn_cls, rpn_reg, rcnn_cls, rcnn_reg)
+    if not all(math.isfinite(t) for t in terms):
+        raise DomainError(f"total_loss needs finite terms, got {terms}")
     return float(rpn_cls + rpn_reg + rcnn_cls + rcnn_reg)

@@ -1,7 +1,9 @@
 """Dense float64 kernels that every other module builds on.
 
-All functions accept array-likes, compute in 64-bit floats, and return
-new arrays. Nothing is mutated in place and there is no global state.
+All functions accept array-likes and compute in 64-bit floats. The
+kernels return new arrays; the input check ``checked_array`` returns a
+float64 array argument itself. Nothing is mutated in place and there is
+no global state.
 """
 
 from __future__ import annotations
@@ -10,11 +12,32 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DimensionMismatch
 
 # Clamp bounds keeping sigmoid outputs strictly inside (0, 1): without
 # them float64 rounds to exactly 0.0 / 1.0 once |x| exceeds ~36.
 _SIGMOID_LO = np.finfo(np.float64).tiny
 _SIGMOID_HI = float(np.nextafter(1.0, 0.0))
+
+
+def checked_array(value, name: str, shape=None, finite: bool = False) -> np.ndarray:
+    """``value`` as a float64 array, checked against ``shape``.
+
+    Converts with ``np.asarray``, so a float64 array comes back as the
+    same object. Each entry of ``shape`` is a required length or an axis
+    label such as "N", which matches any length. A wrong shape raises
+    DimensionMismatch "{name} must have shape (N, 3), got (4,)"; with
+    ``finite`` set, a NaN or infinite entry raises ValueError.
+    """
+    out = np.asarray(value, dtype=np.float64)
+    if shape is not None and (len(shape) != out.ndim or any(
+            not isinstance(want, str) and want != got
+            for want, got in zip(shape, out.shape))):
+        axes = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise DimensionMismatch(f"{name} must have shape ({axes}), got {out.shape}")
+    if finite and not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite")
+    return out
 
 
 def fold(value: float, half_range: float) -> float:

@@ -13,8 +13,8 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .geometry import Box3D, PointCloud, _greedy_nms, enlarge_box, points_in_box
+from .numerics import checked_array
 
 
 @dataclass
@@ -82,15 +82,12 @@ def roi_pooled_fusion(
     given seed; smaller regions keep every point and pad with zeros, so
     the output shape is constant regardless of occupancy.
     """
-    f_img = np.asarray(f_img, dtype=np.float64)
-    f_pt = np.asarray(f_pt, dtype=np.float64)
-    f_fused = np.asarray(f_fused, dtype=np.float64)
-    n = len(cloud)
-    for name, arr in (("f_img", f_img), ("f_pt", f_pt), ("f_fused", f_fused)):
-        if arr.ndim != 2 or arr.shape[0] != n:
-            raise DimensionMismatch(
-                f"{name} must have shape ({n}, C), got {arr.shape}"
-            )
+    names = ("f_img", "f_pt", "f_fused")
+    f_img, f_pt, f_fused = streams = [
+        checked_array(f, name) for f, name in zip((f_img, f_pt, f_fused), names)]
+    # a stream numpy cannot convert is reported before any wrong shape
+    for f, name in zip(streams, names):
+        checked_array(f, name, (len(cloud), "C"))
     if n_points < 1:
         raise ValueError(f"n_points must be positive, got {n_points}")
     inside = points_in_box(cloud, enlarge_box(proposal.box, enlarge))

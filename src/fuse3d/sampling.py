@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidCount, TooFewPoints
 from .geometry import PointCloud
+from .numerics import checked_array
 
 
 @dataclass(frozen=True)
@@ -150,12 +151,8 @@ def hybrid_sweep(
     list of (lam, indices) sorted by lam, each ``indices`` equal to
     ``hybrid_sample(cloud, attention, SamplerConfig(n, lam, seed_index))``.
     """
-    att = np.asarray(attention, dtype=np.float64)
     total = len(cloud)
-    if att.shape != (total,):
-        raise DimensionMismatch(
-            f"attention has shape {att.shape}, expected ({total},)"
-        )
+    att = checked_array(attention, "attention", (total,))
     # phrased so that NaN, which fails every comparison, is rejected
     if not ((att > 0.0) & (att < 1.0)).all():
         raise ValueError("attention scores must lie strictly in (0, 1)")

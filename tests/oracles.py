@@ -7,10 +7,14 @@ library updates coordinate columns in place, the AAD oracle builds the
 whole distance matrix where the library searches x-windows, box
 containment goes through corner/edge projections instead of frame
 derotation, the IoU oracles count Monte-Carlo samples, the overlap area
-oracle clips one polygon vertex by vertex where the library clips each
-edge to an interval, the image-feature oracle projects and interpolates
-one point at a time with plain floats, and the finite-difference oracle
-perturbs one entry at a time and calls its function twice per entry.
+oracle clips one footprint by each edge line of the other in turn
+(Sutherland-Hodgman, in plain floats, so the vertices come out in
+order) where the library gathers the corners of each footprint inside
+the other and the edge crossings in one batched pass and orders them by
+angle about their centroid before the shoelace sum, the image-feature
+oracle projects and interpolates one point at a time with plain floats,
+and the finite-difference oracle perturbs one entry at a time and calls
+its function twice per entry.
 """
 
 from __future__ import annotations

@@ -91,6 +91,13 @@ class TestSmoothL1:
     def test_symmetric(self):
         assert smooth_l1(0.0, 0.7) == smooth_l1(0.7, 0.0)
 
+    @pytest.mark.parametrize("pred, target", [
+        (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf),
+        (math.inf, math.inf)])
+    def test_nonfinite_arguments_rejected(self, pred, target):
+        with pytest.raises(DomainError):
+            smooth_l1(pred, target)
+
 
 class TestBins:
     spec = BinSpec(3.0, 12)  # width 0.5
@@ -141,6 +148,23 @@ class TestBins:
                     continue
                 assert 0 <= index < spec.num_bins
                 assert -0.5 <= residual < 0.5
+
+    @pytest.mark.parametrize("anchor", [0.0, 1e3, -7.3])
+    @pytest.mark.parametrize("spec", [BinSpec(3.0, 12), BinSpec(1.7, 7)])
+    def test_edge_pairs_decode_inside_the_range(self, anchor, spec):
+        # the pair encode_bins returns at the top edge, and the bottom edge;
+        # plain evaluation rounds onto (or past) an edge for some anchors
+        top = (spec.num_bins - 1, math.nextafter(0.5, 0.0))
+        assert encode_bins(decode_bins(*top, anchor, spec), anchor, spec)[0] \
+            == spec.num_bins - 1
+        assert encode_bins(decode_bins(0, -0.5, anchor, spec), anchor, spec)[0] == 0
+
+    def test_pairs_outside_the_range_decode_plainly(self):
+        # the exact value lies on or past an edge, so nothing is moved
+        assert decode_bins(11, 0.5, 0.0, self.spec) == 3.0
+        assert decode_bins(0, math.nextafter(-0.5, -1.0), -7.3, self.spec) \
+            == -7.3 - 3.0
+        assert decode_bins(5, 7.0, 0.0, self.spec) == 3.25
 
     def test_yaw_wraps(self):
         spec = BinConfig().yaw
@@ -206,6 +230,8 @@ class TestBinCrossEntropy:
             bin_cross_entropy(np.zeros(4), 4)
         with pytest.raises(DimensionMismatch):
             bin_cross_entropy(np.zeros((2, 2)), 0)
+        with pytest.raises(DimensionMismatch):
+            bin_cross_entropy(np.zeros(0), 0)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_nonfinite_logits_rejected(self, bad):
@@ -378,6 +404,14 @@ class TestTotalLoss:
         terms = (0.3, 1.7, 0.9, 2.1)
         base = total_loss(*terms)
         assert total_loss(terms[2], terms[0], terms[3], terms[1]) == pytest.approx(base)
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_term_rejected(self, position, bad):
+        terms = [0.0] * 4
+        terms[position] = bad
+        with pytest.raises(DomainError):
+            total_loss(*terms)
 
 
 class TestEncodeBoxTarget:

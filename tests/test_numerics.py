@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fuse3d import finite_diff_grad, sigmoid
+from fuse3d import DimensionMismatch, PointCloud, finite_diff_grad, sigmoid
+from fuse3d.numerics import checked_array
 
 from oracles import scalar_finite_diff_grad
 
@@ -140,3 +141,39 @@ class TestFiniteDiffGrad:
             finite_diff_grad(lambda s: calls.append(s) or np.zeros(len(s)),
                              np.ones(2), eps=eps)
         assert calls == []
+
+
+class TestCheckedArray:
+    def test_float64_array_comes_back_unchanged(self):
+        coords = np.zeros((5, 3))
+        assert checked_array(coords, "coords", ("N", 3), finite=True) is coords
+        assert PointCloud(coords).coords is coords
+
+    def test_array_likes_convert_to_float64(self):
+        out = checked_array([[1, 2, 3]], "coords", ("N", 3))
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, [[1.0, 2.0, 3.0]])
+
+    @pytest.mark.parametrize("shape, value, message", [
+        (("N", 3), np.zeros((4, 2)), r"coords must have shape \(N, 3\), got \(4, 2\)"),
+        ((7,), np.zeros(6), r"coords must have shape \(7,\), got \(6,\)"),
+    ])
+    def test_message_names_the_axes(self, shape, value, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            checked_array(value, "coords", shape)
+
+    @pytest.mark.parametrize("value", [np.zeros(3), np.zeros((1, 2, 3)), 1.0])
+    def test_wrong_rank_raises(self, value):
+        with pytest.raises(DimensionMismatch):
+            checked_array(value, "coords", ("N", 3))
+
+    def test_labels_match_any_length(self):
+        for n in (0, 1, 17):
+            assert checked_array(np.zeros((n, 3)), "coords", ("N", 3)).shape == (n, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected_only_when_asked(self, bad):
+        value = np.array([0.0, bad])
+        assert checked_array(value, "scores") is value
+        with pytest.raises(ValueError, match="scores must be finite"):
+            checked_array(value, "scores", finite=True)
