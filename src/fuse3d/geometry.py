@@ -29,6 +29,9 @@ _CORNER_Z = np.array([[1.0], [1.0], [-1.0], [-1.0]])
 # Index of the next vertex around a quad and around the 24 candidates.
 _NEXT = np.array([1, 2, 3, 0])
 _NEXT24 = np.roll(np.arange(24), -1)
+# A Python float, so that strip edges stay Python floats (bisect and the
+# FPS loop compare and add them faster than numpy scalars).
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def wrap_angle(theta: float) -> float:
@@ -189,6 +192,39 @@ def _circumradius(box: Box3D) -> float:
     return 0.5 * math.hypot(box.length, box.width)
 
 
+# The strip rule of points_in_box, farthest point sampling and aad. A
+# query with centers x0 in [left, right] wants every point with
+# |x - x0| <= r (1 + 16u) for some x0, u = 2**-53, and keeps those with
+# fl(left - reach) <= x <= fl(right + reach), reach = _x_reach(r, pad),
+# pad >= 1e-9 * max(|left|, |right|) + tiny. The edges round by at most
+# u * (|x0| + reach), reach by a few u * reach, and a value that
+# underflows by less than tiny; the margin 1e-9 and the pad cover that
+# with room to spare, so each wanted point lies strictly inside. An
+# infinite radius gives every point. The callers' radii qualify:
+# - Distance queries (sampling): d2 adds non-negative terms to
+#   fl(dx * dx), dx = fl(x - x0), and rounding is monotone, so
+#   fl(dx * dx) <= bound and, with r = fl(sqrt(bound)),
+#   |x - x0| <= r (1 + 3u); a bound a few ulps low (aad's comes from
+#   another summation) adds a few u.
+# - Box containment, with dx, dz the rounded offsets from the center and
+#   c, s the rounded cosine and sine (c^2 + s^2 >= 1 - 4u): lx = c dx - s dz
+#   and lz = s dx + c dz are computed within e = 2u (|dx| + |dz|), fused
+#   or not (the height term is times an exact 0). Passing |lx| <= l/2 and
+#   |lz| <= w/2 gives (c^2 + s^2) |dx| = |c lx + s lz|
+#   <= sqrt(c^2 + s^2) hypot(l/2 + e, w/2 + e), and the same for |dz|, so
+#   |x - x0| and |z - z0| are at most r (1 + 12u), r = 0.5 hypot(l, w).
+
+
+def _x_pad(x_max: float) -> float:
+    """The pad of the strip rule above, for centers with |x0| <= x_max."""
+    return 1e-9 * x_max + _TINY
+
+
+def _x_reach(radius: float, pad: float) -> float:
+    """Half-width of the x-strip that holds every point within ``radius``."""
+    return radius * (1.0 + 1e-9) + pad
+
+
 def _apart(dx, dz, ra, rb):
     """Circumradius gate: True where two footprints cannot overlap.
 
@@ -340,7 +376,7 @@ def _greedy_nms(boxes, scores, iou_threshold: float, top=None):
         )
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-    scores = checked_array(scores, "scores", finite=True)
+    scores = checked_array(scores, "scores", (len(boxes),), finite=True)
     order = np.argsort(-scores, kind="stable")[:top]
     centers, corners, areas, radii = _footprints([boxes[i] for i in order])
     alive = np.ones(len(order), dtype=bool)
@@ -385,14 +421,30 @@ def enlarge_box(box: Box3D, amount: float) -> Box3D:
 
 
 def points_in_box(cloud: PointCloud, box: Box3D) -> np.ndarray:
-    """Indices of points inside the closed box, faces included.
+    """Indices of points inside the closed box, faces included, ascending.
 
-    Points are moved into the box's canonical frame (centered,
-    yaw-derotated) and compared against the half sizes.
+    Only the points of the box's strip, within its circumradius of the
+    center in x (two comparisons on the x column) and then in z, are
+    derotated into the box's frame and compared against the half sizes,
+    with the arithmetic of derotating the whole cloud, row for row, and
+    so with its result. Working memory is two boolean masks over the
+    cloud plus O(candidates).
     """
-    local = (cloud.coords - box.center) @ rotation_y(box.yaw)
-    half = np.array([box.length, box.height, box.width]) / 2.0
-    return np.flatnonzero((np.abs(local) <= half).all(axis=1))
+    c = cloud.coords
+    r = _circumradius(box)
+    cx, cz = float(box.center[0]), float(box.center[2])
+    reach = _x_reach(r, _x_pad(abs(cx)))
+    strip = c[:, 0] >= cx - reach
+    strip &= c[:, 0] <= cx + reach
+    near = np.flatnonzero(strip)
+    z = c[near, 2]
+    reach = _x_reach(r, _x_pad(abs(cz)))
+    near = near[(z >= cz - reach) & (z <= cz + reach)]
+    local = np.abs((c[near] - box.center) @ rotation_y(box.yaw))
+    inside = local[:, 0] <= 0.5 * box.length
+    inside &= local[:, 1] <= 0.5 * box.height
+    inside &= local[:, 2] <= 0.5 * box.width
+    return near[inside]
 
 
 def rotate_y(cloud: PointCloud, angle: float) -> PointCloud:

@@ -278,8 +278,16 @@ def regression_loss(
 def total_loss(
     rpn_cls: float, rpn_reg: float, rcnn_cls: float, rcnn_reg: float
 ) -> float:
-    """Two-stage objective: plain sum of all four stage terms."""
+    """Two-stage objective: plain sum of all four stage terms.
+
+    Raises DomainError when a term is not finite or the sum overflows.
+    """
     terms = (rpn_cls, rpn_reg, rcnn_cls, rcnn_reg)
     if not all(math.isfinite(t) for t in terms):
         raise DomainError(f"total_loss needs finite terms, got {terms}")
-    return float(rpn_cls + rpn_reg + rcnn_cls + rcnn_reg)
+    # Python floats overflow to inf without a numpy warning
+    a, b, c, d = map(float, terms)
+    total = a + b + c + d
+    if not math.isfinite(total):
+        raise DomainError(f"total_loss overflows: the sum of {terms} is {total}")
+    return total

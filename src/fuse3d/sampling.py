@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidCount, TooFewPoints
-from .geometry import PointCloud
+from .geometry import PointCloud, _x_pad, _x_reach
 from .numerics import checked_array
 
 
@@ -33,31 +33,17 @@ class SamplerConfig:
     seed_index: int = 0
 
 
-# The x-window of farthest_point_sampling and aad. Points are sorted by
-# x once; a query wants every point j whose squared distance d2 to some
-# point p with x in [left, right] is at most bound. d2 adds non-negative
-# terms to fl(dx * dx), dx = fl(x_j - px), and rounding is monotone, so
-# fl(dx * dx) <= bound. With r = fl(sqrt(bound)) and u = 2**-53, sqrt and
-# the subtraction each round by a factor within 1 -+ u, so
-# |x_j - px| <= r * (1 + 3u). The edges fl(left - reach), fl(right + reach)
-# move by at most u * (|x| + reach), reach by a few u * reach, and any
-# value that underflows by less than tiny. The relative margin 1e-9 and
-# pad >= 1e-9 * max|x| + tiny cover all of it, and a bound a few ulps
-# low, so each such point, and each point with x in [left, right], lies
-# strictly between the edges. An infinite bound gives every point.
-
-
 def _x_index(sx: np.ndarray) -> tuple[memoryview, float]:
     """The ascending x values as a buffer view, which bisect searches in
     less time per call than searchsorted, and the pad of ``_x_window``."""
-    pad = 1e-9 * max(abs(sx[0]), abs(sx[-1])) + np.finfo(np.float64).tiny
-    return memoryview(sx), float(pad)
+    return memoryview(sx), _x_pad(float(max(abs(sx[0]), abs(sx[-1]))))
 
 
 def _x_window(x_sorted, left: float, right: float, bound: float,
               pad: float) -> tuple[int, int]:
-    """[lo, hi) of the x-sorted points that the rule above keeps."""
-    reach = math.sqrt(bound) * (1.0 + 1e-9) + pad
+    """[lo, hi) of the x-sorted points within squared distance ``bound``
+    of a center in [left, right], by the strip rule of ``geometry``."""
+    reach = _x_reach(math.sqrt(bound), pad)
     lo = bisect.bisect_left(x_sorted, left - reach)
     return lo, bisect.bisect_left(x_sorted, right + reach, lo)
 
@@ -111,8 +97,9 @@ def farthest_point_sampling(
     for k in range(1, n):
         p = coords[last, :, None]
         px = float(p[0, 0])
-        # _x_window inlined (a call per pick costs 1%): min_d2[last] is the
-        # largest running minimum of any unpicked point, inf for the seed
+        # _x_window and _x_reach inlined (a call per pick costs 1%):
+        # min_d2[last] is the largest running minimum of any unpicked
+        # point, inf for the seed
         reach = math.sqrt(min_d2[last]) * (1.0 + 1e-9) + pad
         lo = bisect.bisect_left(x_sorted, px - reach)
         hi = bisect.bisect_left(x_sorted, px + reach, lo)

@@ -6,15 +6,18 @@ from scratch every round, the row-wise one reduces (N, 3) rows where the
 library updates coordinate columns in place, the AAD oracle builds the
 whole distance matrix where the library searches x-windows, box
 containment goes through corner/edge projections instead of frame
-derotation, the IoU oracles count Monte-Carlo samples, the overlap area
-oracle clips one footprint by each edge line of the other in turn
-(Sutherland-Hodgman, in plain floats, so the vertices come out in
-order) where the library gathers the corners of each footprint inside
-the other and the edge crossings in one batched pass and orders them by
-angle about their centroid before the shoelace sum, the image-feature
-oracle projects and interpolates one point at a time with plain floats,
-and the finite-difference oracle perturbs one entry at a time and calls
-its function twice per entry.
+derotation (the whole-cloud containment oracle keeps the library's own
+arithmetic on every point, where the library derotates only the points
+of the box's x-strip, so the two must agree bit for bit), the IoU
+oracles count Monte-Carlo samples, the overlap area oracle clips one
+footprint by each edge line of the other in turn (Sutherland-Hodgman, in
+plain floats, so the vertices come out in order) where the library
+gathers the corners of each footprint inside the other and the edge
+crossings in one batched pass and orders them by angle about their
+centroid before the shoelace sum, the image-feature oracle projects and
+interpolates one point at a time with plain floats, and the
+finite-difference oracle perturbs one entry at a time and calls its
+function twice per entry.
 """
 
 from __future__ import annotations
@@ -154,6 +157,15 @@ def points_in_box_oracle(points: np.ndarray, box) -> np.ndarray:
     in_bev = points_in_footprint(points[:, [0, 2]], box)
     in_y = np.abs(points[:, 1] - box.center[1]) <= box.height / 2
     return in_bev & in_y
+
+
+def points_in_box_full(points: np.ndarray, box) -> np.ndarray:
+    """Indices inside the closed box, derotating every point of the cloud."""
+    c, s = np.cos(box.yaw), np.sin(box.yaw)
+    rotation = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    local = (points - box.center) @ rotation
+    half = np.array([box.length, box.height, box.width]) / 2.0
+    return np.flatnonzero((np.abs(local) <= half).all(axis=1))
 
 
 def mc_iou_bev(a, b, samples: int, rng: np.random.Generator) -> float:

@@ -507,6 +507,18 @@ class TestLossEval:
         fixture.write_text(json.dumps(payload))
         assert main(["loss-eval", "--fixture", str(fixture)]) == 2
 
+    def test_overflowing_stage_sum_is_data_error(self, tmp_path, capsys):
+        payload = self.fixture_payload()
+        payload["stages"].update(rpn_cls=1e308, rpn_reg=1e308)
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(payload))
+        out = tmp_path / "losses.json"
+        assert main(["loss-eval", "--fixture", str(fixture),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {fixture}:") and "overflows" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, index, literal", [
         ("logits_x", 0, "NaN"),
         ("pred_residuals", 2, "Infinity"),

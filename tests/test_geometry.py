@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,10 +8,12 @@ from fuse3d import (
     Box3D,
     DimensionMismatch,
     PointCloud,
+    SyntheticSceneSpec,
     bilinear_sample,
     crop_range,
     enlarge_box,
     gather_point_image_features,
+    generate_scene,
     iou_3d,
     iou_bev,
     nms,
@@ -25,6 +30,7 @@ from oracles import (
     clustered_boxes,
     mc_iou_3d,
     mc_iou_bev,
+    points_in_box_full,
     points_in_box_oracle,
     random_box,
     scalar_image_feature,
@@ -423,6 +429,12 @@ class TestNms:
         with pytest.raises(DimensionMismatch, match="2 boxes but 3 scores"):
             nms([unit_box(), unit_box(cx=10.0)], [0.9, 0.8, 0.7], 0.5)
 
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 2)])
+    def test_scores_of_the_right_length_but_not_1d_rejected(self, shape):
+        message = f"scores must have shape (2,), got {shape}"
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            nms([unit_box(), unit_box(cx=10.0)], np.full(shape, 0.5), 0.5)
+
     def test_boundary_iou_not_suppressed(self):
         # IoU exactly at the threshold must survive
         a = unit_box()
@@ -512,6 +524,147 @@ class TestBoxOps:
         inner = set(points_in_box(cloud, box).tolist())
         outer = set(points_in_box(cloud, enlarge_box(box, 0.5)).tolist())
         assert inner <= outer
+
+
+def surface_points(box):
+    """The box's center, face centers, edge midpoints and corners, each
+    also moved by one ulp either way along every axis: points that the
+    rounding of the derotation puts on either side of a face."""
+    signs = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 3, indexing="ij"),
+                     axis=-1).reshape(-1, 3)
+    half = np.array([box.length, box.height, box.width]) / 2.0
+    c, s = np.cos(box.yaw), np.sin(box.yaw)
+    rotation = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    exact = box.center + (signs * half) @ rotation.T
+    return np.vstack([exact, np.nextafter(exact, np.inf),
+                      np.nextafter(exact, -np.inf)])
+
+
+def strip_edge_boxes(center=(0.0, 0.0, 0.0), scale=1.0):
+    """Rotated boxes about ``center`` with sizes times ``scale``; the
+    yaws +-atan2(w, l) and pi/2 - atan2(w, l) lay a diagonal along x or
+    z, so corners sit at the strip's edges."""
+    return [Box3D(np.array(center), scale * l, scale * h, scale * w, yaw)
+            for l, h, w in ((2.0, 1.0, 1.0), (3.9, 1.6, 1.6), (0.7, 2.3, 4.1))
+            for yaw in (0.0, np.pi / 2, -np.pi, np.pi / 4, 0.3, -2.2,
+                        np.arctan2(w, l), -np.arctan2(w, l),
+                        np.pi / 2 - np.arctan2(w, l))]
+
+
+def assert_same_as_full_cloud(coords, box):
+    got = points_in_box(PointCloud(coords), box)
+    expected = points_in_box_full(coords, box)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+    return got
+
+
+class TestPointsInBoxStrip:
+    """Only the box's x-strip is derotated; the indices must be those of
+    derotating the whole cloud, bit for bit."""
+
+    @pytest.mark.parametrize("center, scale", [
+        ((0.0, 0.0, 0.0), 1.0),
+        ((1e6, -3.0, -1e6), 1.0),
+        ((-1e6, 0.5, 1e6 + 0.25), 1.0),
+        ((0.0, 0.0, 0.0), 1e-6),
+        ((12.5, -1.0, 37.0), 1e-6),
+    ], ids=["origin", "offset-1e6", "offset-minus-1e6", "micro", "micro-offset"])
+    def test_faces_and_corners(self, center, scale):
+        rng = np.random.default_rng(60)
+        for box in strip_edge_boxes(center, scale):
+            pts = surface_points(box)
+            inside = assert_same_as_full_cloud(pts, box)
+            assert 0 < inside.size < len(pts)
+            # each point alone, and among points around the box
+            for p in pts:
+                assert_same_as_full_cloud(p[None], box)
+            spread = 3.0 * scale * rng.uniform(-1.0, 1.0, size=(300, 3))
+            assert_same_as_full_cloud(
+                rng.permutation(np.vstack([pts, box.center + spread])), box)
+
+    def test_corners_on_the_strip_edges(self):
+        # a diagonal along x or z puts two corners about a circumradius
+        # from the center; rounding puts some of them, and of their
+        # neighbours a few ulps out, past center -+ radius yet inside
+        rng = np.random.default_rng(65)
+        for k in range(800):
+            l, w = rng.uniform(0.5, 4.0, size=2)
+            diagonal = np.arctan2(w, l)
+            yaw = (diagonal, -diagonal, np.pi / 2 - diagonal,
+                   np.pi / 2 + diagonal)[k % 4]
+            box = Box3D(rng.uniform(-10.0, 10.0, size=3), l, 1.0, w, yaw)
+            corners = surface_points(box)[[0, 2, 6, 8, 18, 20, 24, 26]]
+            assert_same_as_full_cloud(np.vstack(
+                [corners, np.nextafter(corners, np.inf),
+                 np.nextafter(corners, -np.inf),
+                 np.nextafter(np.nextafter(corners, np.inf), np.inf),
+                 np.nextafter(np.nextafter(corners, -np.inf), -np.inf)]), box)
+
+    def test_equal_x_columns(self):
+        # columns of equal x at the box's extents and at the strip's edge
+        box = Box3D(np.array([1.0, 0.0, -2.0]), 2.0, 1.0, 1.0, 0.0)
+        reach = 0.5 * np.hypot(2.0, 1.0)
+        xs = np.array([0.0, 1.0, 2.0, 1.0 - reach, 1.0 + reach,
+                       np.nextafter(2.0, 3.0), np.nextafter(0.0, -1.0)])
+        zs = np.linspace(-3.0, -1.0, 41)
+        grid = np.stack(np.meshgrid(xs, [-0.5, 0.0, 0.5], zs, indexing="ij"),
+                        axis=-1).reshape(-1, 3)
+        assert assert_same_as_full_cloud(grid, box).size
+        for yaw in (np.pi / 2, 0.4, -np.pi):
+            turned = Box3D(box.center, 2.0, 1.0, 1.0, yaw)
+            assert_same_as_full_cloud(grid, turned)
+
+    def test_no_candidates(self):
+        box = Box3D(np.array([0.0, 0.0, 0.0]), 2.0, 1.0, 1.0, 0.5)
+        rng = np.random.default_rng(61)
+        far_x = rng.uniform(10.0, 20.0, size=(200, 3))
+        # x in the strip, z far from the box
+        far_z = np.column_stack([rng.uniform(-1.0, 1.0, 200),
+                                 rng.uniform(-1.0, 1.0, 200),
+                                 rng.uniform(10.0, 20.0, 200)])
+        for coords in (far_x, far_z, np.empty((0, 3))):
+            assert assert_same_as_full_cloud(coords, box).size == 0
+
+    def test_every_point_a_candidate(self):
+        box = Box3D(np.array([5.0, 0.0, -5.0]), 2.0, 1.0, 1.0, 0.9)
+        rng = np.random.default_rng(62)
+        coords = box.center + rng.uniform(-0.7, 0.7, size=(500, 3))
+        inside = assert_same_as_full_cloud(coords, box)
+        assert 0 < inside.size < 500
+
+    def test_enlarged_jittered_proposals(self):
+        cloud, _, gts = generate_scene(SyntheticSceneSpec(
+            num_clusters=12, points_per_cluster=300, background_points=4000,
+            seed=7))
+        rng = np.random.default_rng(63)
+        counts = []
+        for k in range(2000):
+            gt = gts[k % len(gts)]
+            box = enlarge_box(Box3D(
+                gt.center + rng.normal(0.0, [0.3, 0.1, 0.3]),
+                *np.array([gt.length, gt.height, gt.width])
+                * rng.uniform(0.8, 1.2, size=3),
+                gt.yaw + rng.normal(0.0, 0.3)), 0.2)
+            counts.append(assert_same_as_full_cloud(cloud.coords, box).size)
+        assert min(counts) > 0
+
+    def test_working_memory_below_eight_bytes_per_point(self):
+        n = 200_000
+        rng = np.random.default_rng(64)
+        cloud = PointCloud(np.column_stack([rng.uniform(-40.0, 40.0, n),
+                                            rng.uniform(-3.0, 1.0, n),
+                                            rng.uniform(0.0, 70.4, n)]))
+        box = Box3D(np.array([0.5, -1.0, 30.0]), 3.9, 1.6, 1.6, 0.4)
+        tracemalloc.start()
+        try:
+            inside = points_in_box(cloud, box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inside.size > 0
+        # the whole-cloud derotation held about 51 bytes per point
+        assert peak < 8 * n
 
 
 class TestAugmentations:

@@ -414,6 +414,21 @@ class TestTotalLoss:
             total_loss(*terms)
 
 
+    @pytest.mark.parametrize("terms", [
+        (1e308, 1e308, 0.0, 0.0),
+        (0.0, -1e308, 0.0, -1e308),
+        (1.7e308, 0.0, 0.0, 0.1e308),
+    ])
+    def test_overflowing_sum_rejected(self, terms):
+        with pytest.raises(DomainError, match="overflows"):
+            total_loss(*terms)
+
+    def test_largest_finite_sum_kept(self):
+        big = np.finfo(np.float64).max
+        assert total_loss(big, 0.0, 0.0, 0.0) == big
+        assert total_loss(big, -big, 1.0, 0.0) == 1.0
+
+
 class TestEncodeBoxTarget:
     def test_residual_layout(self):
         gt = box(cx=1.2, cy=0.3, cz=-0.4, l=2.0, h=1.5, w=1.1, yaw=0.6)
