@@ -32,6 +32,10 @@ _NEXT24 = np.roll(np.arange(24), -1)
 # A Python float, so that strip edges stay Python floats (bisect and the
 # FPS loop compare and add them faster than numpy scalars).
 _TINY = float(np.finfo(np.float64).tiny)
+# Greedy NMS settles the score order in blocks of this many live boxes;
+# _LATER[p, q] marks the pairs of a block with p before q.
+_NMS_BLOCK = 64
+_LATER = np.triu(np.ones((_NMS_BLOCK, _NMS_BLOCK), dtype=bool), 1)
 
 
 def wrap_angle(theta: float) -> float:
@@ -225,6 +229,65 @@ def _x_reach(radius: float, pad: float) -> float:
     return radius * (1.0 + 1e-9) + pad
 
 
+# The IoU bound of greedy NMS. Footprint b lies inside its bounding
+# rectangle in a's local axes (x along (cos, -sin), as in _footprints),
+# whose half-extents about b's center are |cos D| lb + |sin D| wb and
+# |sin D| lb + |cos D| wb, with D the yaw difference and lb, wb b's half
+# sizes. So the overlap of a and b is at most the overlap of a with that
+# rectangle, and at most the smaller area; IoU = I / (A + B - I) grows
+# with I, so a pair whose bound gives an IoU <= threshold cannot
+# suppress. In floating point (u = 2**-53) the bound is compared with
+# what the kernel computes, for a pair that passed the circumradius gate
+# (center distance <= e = ra + rb), with h its shortest half side and X
+# the largest center coordinate of the set:
+# - Every vertex the kernel sums lies in both footprints grown by
+#   g0 = 2e-12 e^2 / h + a few u (X + e) in each half side. A corner
+#   counts as inside the other footprint up to tol / edge length
+#   <= 4e-12 e^2 / 2h beyond its edges, tol being the kernel's side
+#   tolerance. A crossing counts only where the ends of both edges lie
+#   beyond tol on either side of the other's line; that keeps it, wherever
+#   the rounding of t slides it along its own edge, on the other edge
+#   within a few u e. Coordinates round by a few u (X + e).
+# - Sorted by angle about their mean, the vertices make a simple polygon
+#   inside their hull, so the kernel's overlap I is at most the overlap
+#   of the grown footprints plus the rounding of its shoelace sum, which
+#   is a few hundred u (e + 2 g0)^2.
+# - The bound grows every half side by g = 1e-9 (e + X) + 1e-11 e^2 / h,
+#   far more than g0 plus the few roundings of its own arithmetic, and
+#   adds 1e-9 (e + 2g)^2, so the overlap ov it computes is >= I.
+# - The kernel's IoU is fl(I / fl(fl(A + B) - I)) and rounding is
+#   monotone, so a pair with ov <= fl(t fl(fl(A + B) - ov)), where
+#   t = threshold (1 - 1e-6), has a kernel IoU below the threshold. The
+#   denominator is positive there, since ov > 0. The 1e-6 is spare: the
+#   argument above needs only t <= threshold.
+# All of this holds while the squares of the sizes do not underflow.
+
+
+def _iou_may_exceed(ta, tb, threshold: float, scale: float) -> np.ndarray:
+    """False where the bound above shows a pair's IoU <= ``threshold``.
+
+    ``ta`` and ``tb`` hold the pairs' columns of the _footprints table,
+    (10, P) each, and ``scale`` bounds every center coordinate.
+    """
+    xa, za, la, wa, ca, _, sa, _, area_a, ra = ta
+    xb, zb, lb, wb, cb, _, sb, _, area_b, rb = tb
+    e = ra + rb
+    grow = 1e-9 * (e + scale) + 1e-11 * e * e / np.minimum(
+        np.minimum(la, wa), np.minimum(lb, wb))
+    la, wa, lb, wb = la + grow, wa + grow, lb + grow, wb + grow
+    # b's center and bounding rectangle in a's local axes
+    dx, dz = xb - xa, zb - za
+    u, v = np.abs(dx * ca - dz * sa), np.abs(dx * sa + dz * ca)
+    cd, sd = np.abs(ca * cb + sa * sb), np.abs(sb * ca - cb * sa)
+    hx, hz = cd * lb + sd * wb, sd * lb + cd * wb
+    # overlap lengths of [-la, la] and [u - hx, u + hx], and likewise in z
+    ox = np.maximum(np.minimum(2.0 * np.minimum(la, hx), la + hx - u), 0.0)
+    oz = np.maximum(np.minimum(2.0 * np.minimum(wa, hz), wa + hz - v), 0.0)
+    ov = np.minimum(ox * oz, 4.0 * np.minimum(la * wa, lb * wb))
+    ov += 1e-9 * (e + 2.0 * grow) ** 2
+    return ov > threshold * (1.0 - 1e-6) * (area_a + area_b - ov)
+
+
 def _apart(dx, dz, ra, rb):
     """Circumradius gate: True where two footprints cannot overlap.
 
@@ -235,12 +298,14 @@ def _apart(dx, dz, ra, rb):
     return dx * dx + dz * dz > r * r
 
 
-def _footprints(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _footprints(boxes) -> tuple[np.ndarray, np.ndarray]:
     """BEV footprints of a sequence of boxes, as arrays.
 
-    Returns centers (N, 2), counter-clockwise corners (N, 4, 2), areas
-    (N,) and circumradii (N,). Each row comes from elementwise
-    arithmetic on its own box, so a box gets the same bits in any batch.
+    Returns an (N, 10) table with the columns center x, center z, half
+    length, half width, cos yaw, -sin yaw, sin yaw, cos yaw, area and
+    circumradius, and the counter-clockwise corners (N, 4, 2). Each row
+    comes from elementwise arithmetic on its own box, so a box gets the
+    same bits in any batch.
     """
     rows = np.array(
         [(b.center[0], b.center[2], 0.5 * b.length, 0.5 * b.width,
@@ -253,7 +318,7 @@ def _footprints(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     lx = rows[:, None, 2:3] * _CORNER_X
     lz = rows[:, None, 3:4] * _CORNER_Z
     corners = rows[:, None, 0:2] + (lx * rows[:, None, 4:6] + lz * rows[:, None, 6:8])
-    return rows[:, 0:2], corners, rows[:, 8], rows[:, 9]
+    return rows, corners
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
@@ -359,16 +424,46 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     return min(1.0, inter_vol / union)
 
 
+def _near(cols, first, second) -> np.ndarray:
+    """(len(first), len(second)) mask of the pairs the gate lets through.
+
+    ``cols`` is the _footprints table transposed; the gate sees the same
+    differences as a one-pair test of box ``first`` against ``second``.
+    """
+    x, z, r = cols[0], cols[1], cols[9]
+    return ~_apart(x[second] - x[first, None], z[second] - z[first, None],
+                   r[first, None], r[second])
+
+
+def _suppresses(cols, corners, a, b, threshold: float, scale: float) -> np.ndarray:
+    """Mask of the pairs (a[k], b[k]) whose BEV IoU exceeds ``threshold``.
+
+    Pairs the bound clears skip the kernel; the rest go to one kernel
+    call, which gives each pair the bits of ``iou_bev(box a, box b)``.
+    """
+    ta, tb = cols[:, a], cols[:, b]
+    hit = _iou_may_exceed(ta, tb, threshold, scale)
+    m = np.flatnonzero(hit)
+    if m.size:
+        inter = _overlap_areas(corners[a[m]], corners[b[m]])
+        hit[m] = np.minimum(1.0, inter / (ta[8, m] + tb[8, m] - inter)) > threshold
+    return hit
+
+
 def _greedy_nms(boxes, scores, iou_threshold: float, top=None):
     """Yield the indices :func:`nms` keeps, best first.
 
     Only the ``top`` best-scoring boxes take part (all of them when
     None). A pick is final before any later box is looked at, so a
-    caller that needs the first k stops after k picks. Each kept box is
-    tested only against the later boxes still unsuppressed: the
-    circumradius gate in one array op, then the survivors in one
-    overlap-kernel call, which gives each pair the same bits as
-    :func:`iou_bev`.
+    caller that needs the first k stops after k picks. The score order
+    is settled in blocks of the next _NMS_BLOCK live boxes: one kernel
+    call on the pairs inside the block, whose picks then follow in a
+    Python loop and are yielded, and, only when the caller asks for
+    more, one call on the block's kept boxes against every later live
+    box. Before each call the circumradius gate and the IoU bound drop
+    pairs that cannot suppress; the kernel gives every other pair the
+    same bits as :func:`iou_bev`, so the picks are those of greedy NMS
+    testing one kept box at a time.
     """
     if len(boxes) != len(scores):
         raise DimensionMismatch(
@@ -378,20 +473,29 @@ def _greedy_nms(boxes, scores, iou_threshold: float, top=None):
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
     scores = checked_array(scores, "scores", (len(boxes),), finite=True)
     order = np.argsort(-scores, kind="stable")[:top]
-    centers, corners, areas, radii = _footprints([boxes[i] for i in order])
-    alive = np.ones(len(order), dtype=bool)
-    for pos in range(len(order)):
-        if not alive[pos]:
-            continue
-        yield int(order[pos])
-        rest = pos + 1 + np.flatnonzero(alive[pos + 1:])
-        d = centers[rest] - centers[pos]
-        near = rest[~_apart(d[:, 0], d[:, 1], radii[pos], radii[rest])]
-        if near.size:
-            inter = _overlap_areas(
-                np.broadcast_to(corners[pos], (near.size, 4, 2)), corners[near])
-            iou = np.minimum(1.0, inter / (areas[pos] + areas[near] - inter))
-            alive[near[iou > iou_threshold]] = False
+    rows, corners = _footprints([boxes[i] for i in order])
+    cols = np.ascontiguousarray(rows.T)
+    scale = float(np.abs(rows[:, :2]).max(initial=0.0))
+    live = np.arange(len(order))
+    while live.size:
+        block, live = live[:_NMS_BLOCK], live[_NMS_BLOCK:]
+        k = block.size
+        i, j = np.nonzero(_near(cols, block, block) & _LATER[:k, :k])
+        hit = _suppresses(cols, corners, block[i], block[j], iou_threshold, scale)
+        beaten = np.zeros((k, k), dtype=bool)
+        beaten[i[hit], j[hit]] = True
+        dead = np.zeros(k, dtype=bool)
+        picks = []
+        for p in range(k):
+            if not dead[p]:
+                picks.append(p)
+                yield int(order[block[p]])
+                dead |= beaten[p]
+        if live.size:
+            kept = block[picks]
+            i, j = np.nonzero(_near(cols, kept, live))
+            hit = _suppresses(cols, corners, kept[i], live[j], iou_threshold, scale)
+            live = np.delete(live, j[hit])
 
 
 def nms(boxes, scores, iou_threshold: float) -> list[int]:
@@ -400,7 +504,10 @@ def nms(boxes, scores, iou_threshold: float) -> list[int]:
     Repeatedly keeps the highest-scoring remaining box and suppresses
     every box whose BEV IoU with it exceeds the threshold. Score ties
     are broken toward the lower index, which makes the output
-    independent of input ordering when scores are distinct.
+    independent of input ordering when scores are distinct. The work
+    runs in blocks of 64 live boxes, two overlap-kernel calls per block,
+    on the pairs that neither the circumradius gate nor the IoU bound
+    rules out (see :func:`_greedy_nms`).
 
     Returns the kept indices in descending-score order.
     """

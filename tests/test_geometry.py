@@ -23,7 +23,14 @@ from fuse3d import (
     scale,
     wrap_angle,
 )
-from fuse3d.geometry import _footprints, _intersection_area_bev, _overlap_areas
+from fuse3d.geometry import (
+    _apart,
+    _footprints,
+    _greedy_nms,
+    _intersection_area_bev,
+    _iou_may_exceed,
+    _overlap_areas,
+)
 from oracles import (
     brute_nms,
     clip_overlap_area,
@@ -468,6 +475,180 @@ class TestNms:
             boxes = [random_box(rng) for _ in range(k)]
             scores = list(rng.uniform(0, 1, size=k))
             assert nms(boxes, scores, 0.5) == brute_nms(boxes, scores, 0.5, iou_bev)
+
+
+def memo_iou():
+    """iou_bev remembered per ordered pair of box objects, so brute_nms
+    runs over one set at several thresholds share their pairs."""
+    seen = {}
+
+    def iou(a, b):
+        key = (id(a), id(b))
+        if key not in seen:
+            seen[key] = iou_bev(a, b)
+        return seen[key]
+    return iou
+
+
+def brute_top(boxes, scores, threshold, top, iou):
+    """brute_nms over the ``top`` best scores (ties to the lower index)."""
+    subset = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))[:top]
+    kept = brute_nms([boxes[i] for i in subset], [scores[i] for i in subset],
+                     threshold, iou)
+    return [subset[k] for k in kept]
+
+
+def grid_boxes(count, spacing=10.0):
+    """``count`` car-sized boxes far enough apart that none suppresses."""
+    return [Box3D(np.array([spacing * (k % 12), 0.0, spacing * (k // 12)]),
+                  4.0, 1.5, 1.8, 0.3 * k) for k in range(count)]
+
+
+def touching_boxes():
+    """Footprints that share edges or corners exactly, or overlap by a
+    sliver, twice over: an axis-aligned unit grid and a tiling along a
+    turned box's own axes, plus repeats of some footprints."""
+    boxes = [unit_box(cx=float(i), cz=float(j)) for i in range(6) for j in range(6)]
+    boxes += [unit_box(cx=2.0, cz=3.0, yaw=np.pi / 2), unit_box(cx=4.0 + 1e-6, cz=1.0)]
+    base = Box3D(np.array([30.0, 0.0, 20.0]), 3.0, 1.5, 1.2, 0.7)
+    boxes += [shifted(base, i * base.length, j * base.width)
+              for i in range(5) for j in range(5)]
+    boxes += [Box3D(base.center, base.width, 1.5, base.length, base.yaw + np.pi / 2),
+              shifted(base, 0.5 * base.length)]
+    return boxes
+
+
+def tight_pairs(rng):
+    """Pairs whose rectangle bound equals their IoU, and contained pairs,
+    where the smaller area binds."""
+    base = Box3D(rng.uniform(-50.0, 50.0, size=3), rng.uniform(1.0, 6.0), 1.5,
+                 rng.uniform(0.4, 2.5), rng.uniform(-np.pi, np.pi))
+    l, h, w = base.length, base.height, base.width
+    f = rng.uniform(0.02, 0.7)
+    inner = 0.9 * min(l, w) / np.hypot(1.0, rng.uniform(0.2, 5.0))
+    return [
+        (base, shifted(base, f * l)),
+        (base, shifted(base, dw=f * w)),
+        (base, shifted(base, f * l, f * w)),
+        (base, Box3D(shifted(base, f * l).center, l, h, w, base.yaw + np.pi)),
+        (base, Box3D(shifted(base, dw=f * w).center, w, h, l, base.yaw + np.pi / 2)),
+        (base, Box3D(base.center, f * l, h, f * w, base.yaw)),
+        (base, Box3D(base.center, inner, h, inner * rng.uniform(0.2, 1.0),
+                     rng.uniform(-np.pi, np.pi))),
+    ]
+
+
+def ulps_around(x, k):
+    """x and the k floats either side of it inside [0, 1]."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -1.0), np.nextafter(hi, 2.0)
+        out += [lo, hi]
+    return [float(t) for t in out if 0.0 <= t <= 1.0]
+
+
+class TestBlockedNms:
+    """The blocked NMS settles 64 live boxes per kernel call and skips
+    pairs by an IoU bound; its picks must stay those of greedy NMS."""
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
+    def test_clustered_sets_match_brute_force(self, count):
+        rng = np.random.default_rng(40 + count)
+        boxes = clustered_boxes(rng, count)
+        # one decimal gives many tied scores
+        scores = list(np.round(rng.uniform(0.0, 1.0, count), 1))
+        iou = memo_iou()
+        for threshold in (0.0, 0.3, 0.8, 1.0):
+            for top in (None, count - 1, 64, 65):
+                if top == 0:
+                    continue
+                kept = list(_greedy_nms(boxes, scores, threshold, top))
+                assert kept == brute_top(boxes, scores, threshold, top, iou)
+
+    @pytest.mark.parametrize("count", [63, 64, 65, 130])
+    def test_disjoint_sets_keep_every_box(self, count):
+        # nothing is suppressed, so the live counts at the block edges
+        # are exactly 64, 128, ...
+        boxes = grid_boxes(count)
+        scores = list(np.round(np.random.default_rng(count).uniform(0, 1, count), 1))
+        expected = sorted(range(count), key=lambda i: (-scores[i], i))
+        for threshold in (0.0, 0.8):
+            assert nms(boxes, scores, threshold) == expected
+            assert list(_greedy_nms(boxes, scores, threshold, top=64)) == expected[:64]
+
+    def test_touching_and_edge_sharing_boxes(self):
+        boxes = touching_boxes()
+        rng = np.random.default_rng(41)
+        iou = memo_iou()
+        for _ in range(3):
+            scores = list(np.round(rng.uniform(0.0, 1.0, len(boxes)), 1))
+            for threshold in (0.0, 0.3, 0.8, 1.0):
+                kept = nms(boxes, scores, threshold)
+                assert kept == brute_nms(boxes, scores, threshold, iou)
+        # in index order, touching keeps both boxes: at 0.0 only the
+        # repeated footprints, the sliver and the half-shifted tile go
+        assert nms(boxes, [0.5] * len(boxes), 0.0) == [
+            k for k in range(len(boxes)) if k not in (36, 37, 63, 64)]
+
+    def test_iou_a_few_ulps_from_the_threshold(self):
+        rng = np.random.default_rng(42)
+        for _ in range(12):
+            for a, b in tight_pairs(rng):
+                for first, second in ((a, b), (b, a)):
+                    pair = [first, second]
+                    for threshold in ulps_around(iou_bev(first, second), 3):
+                        kept = nms(pair, [0.9, 0.8], threshold)
+                        assert kept == brute_nms(pair, [0.9, 0.8], threshold, iou_bev)
+                        assert kept == ([0] if iou_bev(first, second) > threshold
+                                        else [0, 1])
+
+    def test_bound_covers_the_kernel_iou(self):
+        rng = np.random.default_rng(43)
+        pairs = []
+        while len(pairs) < 10_000:
+            a = random_box(rng, center_spread=30.0)
+            if rng.uniform() < 0.3:  # thin boxes, aspect ratio 1e3
+                size = rng.uniform(0.5, 8.0)
+                l, w = (size, 1e-3 * size) if rng.uniform() < 0.5 else (1e-3 * size, size)
+                a = Box3D(a.center, l, a.height, w, a.yaw)
+            turn = rng.choice([0.0, np.pi, np.pi / 2, rng.normal(0.0, 0.05),
+                               rng.uniform(-np.pi, np.pi)])
+            stretch = rng.uniform(0.5, 1.5, size=2)
+            if rng.uniform() < 0.5:
+                stretch = np.ones(2)
+            r = 0.5 * np.hypot(a.length, a.width)
+            b = Box3D(a.center + rng.normal(0.0, 0.5 * r, size=3),
+                      a.length * stretch[0], a.height, a.width * stretch[1],
+                      a.yaw + turn)
+            if not _apart(a.center[0] - b.center[0], a.center[2] - b.center[2],
+                          r, 0.5 * np.hypot(b.length, b.width)):
+                pairs.append((a, b))
+        pairs += list(degenerate_pairs().values())
+        pairs += [near_collinear_pair(rng) for _ in range(500)]
+        for _ in range(20):
+            pairs += tight_pairs(rng)
+        rows_a, corners_a = _footprints([a for a, _ in pairs])
+        rows_b, corners_b = _footprints([b for _, b in pairs])
+        inter = _overlap_areas(corners_a, corners_b)
+        iou = np.minimum(1.0, inter / (rows_a[:, 8] + rows_b[:, 8] - inter))
+        scale = max(np.abs(rows_a[:, :2]).max(), np.abs(rows_b[:, :2]).max())
+        hit = iou > 0.0
+        assert hit.sum() > 5000
+        # a threshold one ulp below the kernel's IoU, with the spare
+        # margin taken back out: the bound alone must let each pair pass
+        threshold = np.nextafter(iou[hit], 0.0) / (1.0 - 1e-6)
+        assert _iou_may_exceed(rows_a[hit].T, rows_b[hit].T, threshold, scale).all()
+        # and it is not vacuous: at 0.8 it clears most pairs below it
+        below = iou < 0.8
+        cleared = ~_iou_may_exceed(rows_a[below].T, rows_b[below].T, 0.8, scale)
+        assert cleared.mean() > 0.5
+        # the smaller area caps the bound: a thin box turned inside a
+        # square has a bounding rectangle of nearly the whole square
+        square = unit_box(l=4.0, w=4.0)
+        thin = unit_box(l=5.0, w=0.3, yaw=np.pi / 4)
+        assert iou_bev(square, thin) == pytest.approx(1.5 / 16.0)
+        rows = _footprints([square, thin])[0]
+        assert not _iou_may_exceed(rows[:1].T, rows[1:].T, 0.1, 0.0).any()
 
 
 class TestBoxOps:

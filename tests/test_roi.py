@@ -13,11 +13,24 @@ from fuse3d import (
     roi_pooled_fusion,
     select_proposals,
 )
+from fuse3d import geometry
 from oracles import clustered_boxes, random_box
 
 
 def proposal(cx=0.0, score=0.5, l=1.0):
     return Proposal(Box3D(np.array([cx, 0.0, 0.0]), l, 1.0, 1.0, 0.0), score)
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """Record the pair count of every overlap-kernel call from now on."""
+    calls = []
+    kernel = geometry._overlap_areas
+
+    def counting(a, b):
+        calls.append(len(a))
+        return kernel(a, b)
+    monkeypatch.setattr(geometry, "_overlap_areas", counting)
+    return calls
 
 
 def feature_set(rng, n, c_img=2, c_pt=3, c_fused=4):
@@ -83,6 +96,42 @@ class TestSelectProposals:
             out = select_proposals(props, pre_nms_top, 0.5, keep)
             assert [id(p) for p in out] == [id(p) for p in expected]
         assert len(out) < 500  # fewer survivors than keep: all returned
+
+    @pytest.mark.parametrize("keep", [32, 33])
+    def test_keep_at_a_block_edge_and_one_past_it(self, keep, monkeypatch):
+        # 40 boxes, each followed in score by a near twin it suppresses,
+        # so the first block of 64 live boxes keeps 32; the last 8 sit on
+        # the first 8 turned by 45 degrees, which passes the IoU bound
+        # without suppressing
+        rng = np.random.default_rng(33)
+        yaws = rng.uniform(-np.pi, np.pi, 32)
+        props = []
+        for k in range(40):
+            cell = k % 32
+            center = np.array([20.0 * (cell % 8), 0.0, 20.0 * (cell // 8)])
+            yaw = yaws[cell] + (np.pi / 4 if k >= 32 else 0.0)
+            box = Box3D(center, 4.0, 1.5, 1.8, yaw)
+            twin = Box3D(center + 0.01, 4.0, 1.5, 1.8, yaw + 0.01)
+            props += [Proposal(box, 1.0 - 0.02 * k), Proposal(twin, 0.99 - 0.02 * k)]
+        calls = count_kernel_calls(monkeypatch)
+        out = select_proposals(props, keep=keep)
+        assert [id(p) for p in out] == [id(props[2 * k]) for k in range(keep)]
+        # the block's own call; the cross-block call and the next
+        # block's run only when a pick past the block is asked for
+        assert len(calls) == (1 if keep == 32 else 3)
+
+    def test_blocked_selection_calls_the_kernel_a_few_times(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        boxes = clustered_boxes(rng, 512)
+        scores = np.round(rng.uniform(0.0, 1.0, len(boxes)), 2)
+        props = [Proposal(b, s) for b, s in zip(boxes, scores)]
+        calls = count_kernel_calls(monkeypatch)
+        out = select_proposals(props, keep=64)
+        assert len(out) == 64
+        assert 1 <= len(calls) <= 4  # one call per kept box would make 63
+        monkeypatch.undo()
+        kept = nms(boxes, scores, 0.8)[:64]
+        assert [id(p) for p in out] == [id(props[k]) for k in kept]
 
     def test_default_constants(self):
         import inspect
