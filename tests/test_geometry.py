@@ -1,13 +1,18 @@
+import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuse3d import (
     Box3D,
     DimensionMismatch,
+    DomainError,
     PointCloud,
+    Proposal,
     SyntheticSceneSpec,
     bilinear_sample,
     crop_range,
@@ -21,9 +26,12 @@ from fuse3d import (
     project_points,
     rotate_y,
     scale,
+    select_proposals,
     wrap_angle,
 )
+from fuse3d import geometry
 from fuse3d.geometry import (
+    _KERNEL_ROWS,
     _apart,
     _footprints,
     _greedy_nms,
@@ -146,6 +154,11 @@ class TestTypes:
         assert wrap_angle(np.nextafter(-np.pi, -np.inf)) == -np.pi
         assert Box3D(np.zeros(3), 1.0, 1.0, 1.0,
                      np.nextafter(-np.pi, -np.inf)).yaw == -np.pi
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_wrap_angle_rejects_nonfinite(self, theta):
+        with pytest.raises(DomainError, match=f"non-finite angle: {theta}"):
+            wrap_angle(theta)
 
 
 class TestProjection:
@@ -315,6 +328,11 @@ class TestOverlapKernel:
         alone = np.array([_overlap_areas(corners_a[k:k + 1], corners_b[k:k + 1])[0]
                           for k in range(len(pairs))])
         assert np.array_equal(batched, alone)
+        # a batch longer than one slice of the kernel, ending mid-slice
+        repeats = (2 * _KERNEL_ROWS) // len(pairs) + 1
+        sliced = _overlap_areas(np.tile(corners_a, (repeats, 1, 1)),
+                                np.tile(corners_b, (repeats, 1, 1)))
+        assert len(sliced) % _KERNEL_ROWS and np.array_equal(sliced, np.tile(alone, repeats))
         one_pair = np.array([_intersection_area_bev(a, b) for a, b in pairs])
         assert np.array_equal(batched, one_pair)
         assert (batched > 0).sum() > 100  # many random pairs overlap
@@ -357,6 +375,29 @@ class TestOverlapKernel:
         corners = _footprints(boxes)[1]
         for box, row in zip(boxes, corners):
             assert np.array_equal(_footprints([box])[1][0], row)
+
+    def test_footprints_match_per_field_construction(self):
+        # the table built field by field, each read and trig call per
+        # field, gives the bits the one-read-per-box table must keep
+        rng = np.random.default_rng(22)
+        boxes = [random_box(rng, center_spread=40.0) for _ in range(200)]
+        offsets = (-1e6, 0.0, 1e6)
+        for size in (1e-6, 1e3):
+            for yaw in (np.pi, -np.pi, np.nextafter(np.pi, 0.0), rng.uniform(-4, 4)):
+                for dx in offsets:
+                    center = np.array([dx, 0.5, -dx]) + rng.normal(size=3)
+                    boxes.append(Box3D(center, size, 1.0, rng.uniform(1e-6, 1e3), yaw))
+                    boxes.append(Box3D(center, rng.uniform(1e-6, 1e3), 1.0, size, yaw))
+        rows = np.array(
+            [(b.center[0], b.center[2], 0.5 * b.length, 0.5 * b.width,
+              math.cos(b.yaw), -math.sin(b.yaw), math.sin(b.yaw), math.cos(b.yaw),
+              b.length * b.width, 0.5 * math.hypot(b.length, b.width)) for b in boxes])
+        lx = rows[:, None, 2:3] * np.array([[1.0], [-1.0], [-1.0], [1.0]])
+        lz = rows[:, None, 3:4] * np.array([[1.0], [1.0], [-1.0], [-1.0]])
+        corners = rows[:, None, 0:2] + (lx * rows[:, None, 4:6] + lz * rows[:, None, 6:8])
+        table, got = _footprints(boxes)
+        assert np.array_equal(table, rows)
+        assert np.array_equal(got, corners)
 
     def test_degenerate_pairs(self):
         pairs = degenerate_pairs()
@@ -490,6 +531,27 @@ def memo_iou():
     return iou
 
 
+def table_iou(boxes):
+    """iou_bev of every ordered pair of ``boxes``, looked up by object.
+
+    One kernel call on every pair the circumradius gate passes, as
+    iou_bev makes for one pair; the kernel gives each pair the same bits
+    alone or in a batch (TestOverlapKernel), so the table holds exactly
+    what iou_bev returns, without its per-pair cost.
+    """
+    n = len(boxes)
+    rows, corners = _footprints(boxes)
+    i, j = np.nonzero(~_apart(rows[:, None, 0] - rows[None, :, 0],
+                              rows[:, None, 1] - rows[None, :, 1],
+                              rows[:, None, 9], rows[None, :, 9]))
+    inter = _overlap_areas(corners[i], corners[j])
+    table = np.zeros((n, n))
+    table[i, j] = np.where(inter == 0.0, 0.0, np.minimum(
+        1.0, inter / (rows[i, 8] + rows[j, 8] - inter)))
+    position = {id(b): k for k, b in enumerate(boxes)}
+    return lambda a, b: table[position[id(a)], position[id(b)]]
+
+
 def brute_top(boxes, scores, threshold, top, iou):
     """brute_nms over the ``top`` best scores (ties to the lower index)."""
     subset = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))[:top]
@@ -576,6 +638,38 @@ class TestBlockedNms:
             assert nms(boxes, scores, threshold) == expected
             assert list(_greedy_nms(boxes, scores, threshold, top=64)) == expected[:64]
 
+    def test_kept_boxes_pending_over_two_blocks(self):
+        # by score: block 1 keeps 40 of 64 and block 2 keeps 30 of 64,
+        # so the 70 kept boxes reach every later box in one call after
+        # block 2; a later twin of box 5 overlaps only box 5, kept in
+        # block 1
+        rng = np.random.default_rng(44)
+        yaws = rng.uniform(-np.pi, np.pi, 80)
+
+        def base(k, turn=0.0):
+            center = np.array([20.0 * (k % 10), 0.0, 20.0 * (k // 10)])
+            return Box3D(center, 4.0, 1.5, 1.8, yaws[k] + turn)
+
+        def twin(k, d=0.01):
+            b = base(k)
+            return Box3D(b.center + d, 4.0, 1.5, 1.8, b.yaw + d)
+
+        boxes = [base(k) for k in range(40)] + [twin(k) for k in range(24)]
+        boxes += ([base(k) for k in range(40, 70)] + [twin(k) for k in range(24, 58)])
+        boxes += [twin(5, 0.02)] + [base(k) for k in range(70, 80)]
+        boxes += [twin(k) for k in range(60, 66)] + [base(3, np.pi / 4)]
+        n = len(boxes)
+        scores = list(1.0 - 0.005 * np.arange(n))
+        iou = memo_iou()
+        for threshold in (0.0, 0.3, 0.8, 1.0):
+            for top in (None, 128, 140):
+                kept = list(_greedy_nms(boxes, scores, threshold, top))
+                assert kept == brute_top(boxes, scores, threshold, top, iou)
+        kept = nms(boxes, scores, 0.8)
+        assert sum(k < 64 for k in kept) == 40 and sum(k < 128 for k in kept) == 70
+        assert 128 not in kept  # the twin of box 5
+        assert kept[70:] == list(range(129, 139)) + [n - 1]
+
     def test_touching_and_edge_sharing_boxes(self):
         boxes = touching_boxes()
         rng = np.random.default_rng(41)
@@ -649,6 +743,60 @@ class TestBlockedNms:
         assert iou_bev(square, thin) == pytest.approx(1.5 / 16.0)
         rows = _footprints([square, thin])[0]
         assert not _iou_may_exceed(rows[:1].T, rows[1:].T, 0.1, 0.0).any()
+
+
+@st.composite
+def clustered_set(draw):
+    """Up to 150 boxes jittered about a few seed boxes, some repeated
+    exactly, with one-decimal scores, so many tie."""
+    finite = dict(allow_nan=False, allow_infinity=False)
+    seeds = draw(st.lists(st.tuples(
+        st.floats(-40.0, 40.0, **finite), st.floats(-40.0, 40.0, **finite),
+        st.floats(0.5, 3.0), st.floats(0.5, 3.0), st.floats(-np.pi, np.pi)),
+        min_size=1, max_size=40))
+    count = draw(st.integers(1, 150))
+    members = draw(st.lists(st.tuples(
+        st.integers(0, len(seeds) - 1),
+        st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+        st.floats(0.8, 1.2), st.floats(0.8, 1.2), st.floats(-0.4, 0.4),
+        st.booleans(), st.integers(0, 10)),
+        min_size=count, max_size=count))
+    boxes, scores = [], []
+    for k, (s, dx, dz, fl, fw, dyaw, repeat, score) in enumerate(members):
+        if repeat and boxes:
+            prev = boxes[-1]
+            boxes.append(Box3D(prev.center.copy(), prev.length, prev.height,
+                               prev.width, prev.yaw))
+        else:
+            x, z, l, w, yaw = seeds[s]
+            boxes.append(Box3D(np.array([x + dx, 0.0, z + dz]), l * fl, 1.5, w * fw,
+                               yaw + dyaw))
+        scores.append(score / 10.0)
+    return boxes, scores
+
+
+class TestNmsProperties:
+    # the schedule runs at the library's block size and at blocks of 12
+    # and 5 boxes, where a set of 150 spans many blocks and kept boxes
+    # stay pending over several of them
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(clustered_set(),
+           st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           st.integers(1, 160), st.integers(1, 80), st.sampled_from([64, 12, 5]))
+    def test_nms_and_selection_match_brute_force(self, boxes_scores, threshold,
+                                                 top, keep, block):
+        boxes, scores = boxes_scores
+        iou = table_iou(boxes)
+        assert all(iou(boxes[0], b) == iou_bev(boxes[0], b) for b in boxes[:8])
+        props = [Proposal(b, s) for b, s in zip(boxes, scores)]
+        later = np.triu(np.ones((block, block), dtype=bool), 1)
+        with mock.patch.multiple(geometry, _NMS_BLOCK=block, _LATER=later):
+            kept = nms(boxes, scores, threshold)
+            out = select_proposals(props, pre_nms_top=top, nms_threshold=threshold,
+                                   keep=keep)
+        assert kept == brute_nms(boxes, scores, threshold, iou)
+        expected = brute_top(boxes, scores, threshold, top, iou)[:keep]
+        assert [id(p) for p in out] == [id(props[k]) for k in expected]
 
 
 class TestBoxOps:

@@ -116,9 +116,57 @@ class TestSelectProposals:
         calls = count_kernel_calls(monkeypatch)
         out = select_proposals(props, keep=keep)
         assert [id(p) for p in out] == [id(props[2 * k]) for k in range(keep)]
-        # the block's own call; the cross-block call and the next
-        # block's run only when a pick past the block is asked for
-        assert len(calls) == (1 if keep == 32 else 3)
+        # one call per block: the next block's call, which also tests its
+        # boxes against the 32 kept, runs only when a pick past the
+        # first block is asked for
+        assert len(calls) == (1 if keep == 32 else 2)
+
+    def test_stop_at_a_block_edge_skips_applying_the_kept(self, monkeypatch):
+        # 64 cells, each box followed in score by a near twin it
+        # suppresses: the first two blocks keep 32 each, so 64 kept boxes
+        # are pending at the second block's last pick; the last 16 boxes
+        # sit on the first 8 cells turned by 45 degrees, with twins
+        yaws = np.random.default_rng(35).uniform(-np.pi, np.pi, 64)
+        props = []
+        for k in range(72):
+            cell = k % 64
+            center = np.array([20.0 * (cell % 8), 0.0, 20.0 * (cell // 8)])
+            yaw = yaws[cell] + (np.pi / 4 if k >= 64 else 0.0)
+            box = Box3D(center, 4.0, 1.5, 1.8, yaw)
+            twin = Box3D(center + 0.01, 4.0, 1.5, 1.8, yaw + 0.01)
+            props += [Proposal(box, 1.0 - 0.01 * k), Proposal(twin, 0.995 - 0.01 * k)]
+        calls = count_kernel_calls(monkeypatch)
+        out = select_proposals(props, keep=64)
+        assert [id(p) for p in out] == [id(props[2 * k]) for k in range(64)]
+        assert calls == [32, 32]  # one call per block, none applying the kept
+        calls.clear()
+        out = select_proposals(props, keep=65)
+        # the apply call tests the 64 kept boxes against the 16 later
+        # ones and drops none of them; then the third block's call
+        assert calls == [32, 32, 16, 8]
+        assert [id(p) for p in out] == [id(props[2 * k]) for k in range(65)]
+
+    def test_frame_style_8000_to_64(self, monkeypatch):
+        # 8000 proposals jittered round robin about 12 car-sized boxes, as
+        # a first stage hands them to selection
+        rng = np.random.default_rng(36)
+        objects = [Box3D(np.array([rng.uniform(-35, 35), -0.8, rng.uniform(5, 65)]),
+                         rng.uniform(3.5, 4.5), 1.5, rng.uniform(1.6, 1.9),
+                         rng.uniform(-np.pi, np.pi)) for _ in range(12)]
+        props = []
+        for k in range(8000):
+            gt = objects[k % 12]
+            offset = np.clip(rng.normal(0.0, [0.5, 0.1, 0.5]), -1.5, 1.5)
+            l, h, w = np.array([gt.length, gt.height, gt.width]) * rng.uniform(0.9, 1.1, 3)
+            box = Box3D(gt.center + offset, l, h, w, gt.yaw + rng.normal(0.0, 0.15))
+            props.append(Proposal(box, rng.uniform(0.05, 0.95)))
+        calls = count_kernel_calls(monkeypatch)
+        out = select_proposals(props, pre_nms_top=8000, nms_threshold=0.8, keep=64)
+        assert len(out) == 64
+        assert len(calls) <= 3
+        monkeypatch.undo()
+        kept = nms([p.box for p in props], [p.score for p in props], 0.8)
+        assert [id(p) for p in out] == [id(props[k]) for k in kept[:64]]
 
     def test_blocked_selection_calls_the_kernel_a_few_times(self, monkeypatch):
         rng = np.random.default_rng(34)
