@@ -92,13 +92,8 @@ def _box_to_json(box: Box3D) -> dict:
 
 def _box_from_json(obj, name: str) -> Box3D:
     try:
-        return Box3D(
-            np.asarray(obj["center"], dtype=np.float64),
-            obj["length"],
-            obj["height"],
-            obj["width"],
-            obj["yaw"],
-        )
+        return Box3D(obj["center"], obj["length"], obj["height"], obj["width"],
+                     obj["yaw"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad box {name!r}: {exc}") from None
 
@@ -385,23 +380,27 @@ def cmd_loss_eval(args) -> int:
     return 0
 
 
+# The keys a loss-eval fixture may hold, top level and under "stages".
+_FIXTURE_KEYS = ("focal_c_t", "pred_box", "gt_box", "anchor_box", "logits_x",
+                 "logits_z", "logits_yaw", "pred_residuals", "stages")
+_STAGE_KEYS = ("rpn_cls", "rpn_reg", "rcnn_cls", "rcnn_reg")
+
+
 def _evaluate_losses(fixture: dict, cfg: RunConfig) -> dict:
-    for key in ("alpha", "gamma"):
-        if key in fixture:
+    for key in fixture:
+        if key in ("alpha", "gamma"):
             raise ValueError(f"key {key!r} is not read; set it with "
                              f"--focal-{key} or focal_{key} in --config")
+        if key not in _FIXTURE_KEYS:
+            raise ValueError(f"key {key!r} is not read")
     focal_cfg = FocalConfig(alpha=cfg.focal_alpha, gamma=cfg.focal_gamma)
     bin_cfg = cfg.bin_config()
     pred_box = _box_from_json(fixture["pred_box"], "pred_box")
     gt_box = _box_from_json(fixture["gt_box"], "gt_box")
     anchor_box = _box_from_json(fixture["anchor_box"], "anchor_box")
     target = encode_box_target(gt_box, anchor_box, bin_cfg)
-    pred = RegressionPrediction(
-        logits_x=np.asarray(fixture["logits_x"], dtype=np.float64),
-        logits_z=np.asarray(fixture["logits_z"], dtype=np.float64),
-        logits_yaw=np.asarray(fixture["logits_yaw"], dtype=np.float64),
-        residuals=np.asarray(fixture["pred_residuals"], dtype=np.float64),
-    )
+    pred = RegressionPrediction(fixture["logits_x"], fixture["logits_z"],
+                                fixture["logits_yaw"], fixture["pred_residuals"])
     focal = focal_loss(float(fixture["focal_c_t"]), focal_cfg)
     terms = regression_terms(pred, target, pred_box, gt_box, bin_cfg)
     report = {
@@ -416,10 +415,11 @@ def _evaluate_losses(fixture: dict, cfg: RunConfig) -> dict:
     }
     if "stages" in fixture:
         stages = fixture["stages"]
-        report["total"] = total_loss(
-            float(stages["rpn_cls"]), float(stages["rpn_reg"]),
-            float(stages["rcnn_cls"]), float(stages["rcnn_reg"]),
-        )
+        values = [float(stages[key]) for key in _STAGE_KEYS]
+        for key in stages:
+            if key not in _STAGE_KEYS:
+                raise ValueError(f"stages key {key!r} is not read")
+        report["total"] = total_loss(*values)
     return report
 
 

@@ -52,16 +52,17 @@ class AAFParams:
     b_out: np.ndarray      # (c_out,)
 
     def __post_init__(self):
-        for name in _WEIGHTS:
-            setattr(self, name, checked_array(getattr(self, name), name))
+        # c_prev and c_out are read off w_out, so it is converted and its
+        # rank and rows checked first; that fixes its whole shape
+        self.w_out = checked_array(self.w_out, "w_out")
         c_cat = self.c_img + self.c_pt
-        # c_prev and c_out are read off w_out, so its rank and rows come first
         if self.w_out.ndim != 2 or self.w_out.shape[0] < c_cat:
             raise DimensionMismatch(
                 f"output weights must be (>= {c_cat}, c_out), got {self.w_out.shape}"
             )
         for name, shape in zip(_WEIGHTS, _weight_shapes(c_cat, self.c_prev, self.c_out)):
-            checked_array(getattr(self, name), name, shape)
+            if name != "w_out":
+                setattr(self, name, checked_array(getattr(self, name), name, shape))
 
     @property
     def c_prev(self) -> int:
@@ -81,11 +82,10 @@ class AAFInput:
     f_fused_prev: np.ndarray  # (N, c_prev) running fused feature
 
     def __post_init__(self):
-        names = ("f_image", "f_point", "f_fused_prev")
-        for name in names:
-            setattr(self, name, checked_array(getattr(self, name), name, ("N", "C")))
-        for name in names[1:]:  # the row count is f_image's
-            checked_array(getattr(self, name), name, (len(self.f_image), "C"))
+        self.f_image = checked_array(self.f_image, "f_image", ("N", "C"))
+        for name in ("f_point", "f_fused_prev"):  # the row count is f_image's
+            setattr(self, name, checked_array(getattr(self, name), name,
+                                              (len(self.f_image), "C")))
 
 
 @dataclass

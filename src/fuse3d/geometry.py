@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DomainError
 from .numerics import checked_array, fold
 
 # An overlap at most this share of the smaller footprint counts as
@@ -32,10 +32,8 @@ _NEXT24 = np.roll(np.arange(24), -1)
 # A Python float, so that strip edges stay Python floats (bisect and the
 # FPS loop compare and add them faster than numpy scalars).
 _TINY = float(np.finfo(np.float64).tiny)
-# Greedy NMS settles the score order in blocks of this many live boxes;
-# _LATER[p, q] marks the pairs of a block with p before q.
+# Greedy NMS settles the score order in blocks of this many live boxes.
 _NMS_BLOCK = 64
-_LATER = np.triu(np.ones((_NMS_BLOCK, _NMS_BLOCK), dtype=bool), 1)
 # The overlap kernel takes its pairs in slices of this many, which keeps
 # its temporaries (a few KB a pair) near the size of a core's L2 cache:
 # on 16k pairs, slices of 1024 cost 6.2 us a pair against 8.3 us for one
@@ -487,13 +485,9 @@ def _greedy_nms(boxes, scores, iou_threshold: float, top=None):
     earlier box first, the same bits as :func:`iou_bev`, so the picks
     are those of greedy NMS testing one kept box at a time.
     """
-    if len(boxes) != len(scores):
-        raise DimensionMismatch(
-            f"{len(boxes)} boxes but {len(scores)} scores"
-        )
+    scores = checked_array(scores, "scores", (len(boxes),), finite=True)
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
-    scores = checked_array(scores, "scores", (len(boxes),), finite=True)
     order = np.argsort(-scores, kind="stable")[:top]
     rows, corners = _footprints([boxes[i] for i in order])
     cols = np.ascontiguousarray(rows.T)
@@ -506,7 +500,7 @@ def _greedy_nms(boxes, scores, iou_threshold: float, top=None):
         # rows: the pending kept boxes, then the block; columns: the block
         first = np.concatenate([pending, block])
         near = _near(cols, first, block)
-        near[n:] &= _LATER[:k, :k]
+        near[n:] = np.triu(near[n:], 1)  # in the block, only p before q
         i, j = np.nonzero(near)
         hit = _suppresses(cols, corners, first[i], block[j], iou_threshold, scale)
         beaten = np.zeros((n + k, k), dtype=bool)

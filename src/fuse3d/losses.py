@@ -187,9 +187,9 @@ class RegressionPrediction:
     residuals: np.ndarray  # (7,)
 
     def __post_init__(self):
-        for name in ("logits_x", "logits_z", "logits_yaw", "residuals"):
+        for name in ("logits_x", "logits_z", "logits_yaw"):
             setattr(self, name, checked_array(getattr(self, name), name, finite=True))
-        checked_array(self.residuals, "residuals", (7,))
+        self.residuals = checked_array(self.residuals, "residuals", (7,), finite=True)
 
 
 def encode_box_target(gt: Box3D, anchor: Box3D, cfg: BinConfig = BinConfig()) -> BoxTarget:

@@ -57,8 +57,9 @@ def select_proposals(
     suppression stops once ``keep`` proposals are kept; the result
     equals ``nms(...)[:keep]``.
     """
-    if pre_nms_top < 1 or keep < 1:
-        raise ValueError("pre_nms_top and keep must be positive")
+    for name, value in (("pre_nms_top", pre_nms_top), ("keep", keep)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
     kept = _greedy_nms([p.box for p in proposals], [p.score for p in proposals],
                        nms_threshold, top=pre_nms_top)
     return [proposals[i] for i in islice(kept, keep)]
@@ -82,12 +83,9 @@ def roi_pooled_fusion(
     given seed; smaller regions keep every point and pad with zeros, so
     the output shape is constant regardless of occupancy.
     """
-    names = ("f_img", "f_pt", "f_fused")
-    f_img, f_pt, f_fused = streams = [
-        checked_array(f, name) for f, name in zip((f_img, f_pt, f_fused), names)]
-    # a stream numpy cannot convert is reported before any wrong shape
-    for f, name in zip(streams, names):
+    f_img, f_pt, f_fused = (
         checked_array(f, name, (len(cloud), "C"))
+        for f, name in ((f_img, "f_img"), (f_pt, "f_pt"), (f_fused, "f_fused")))
     if n_points < 1:
         raise ValueError(f"n_points must be positive, got {n_points}")
     inside = points_in_box(cloud, enlarge_box(proposal.box, enlarge))

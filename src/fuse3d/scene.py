@@ -30,10 +30,10 @@ class SyntheticSceneSpec:
     seed: int = 42
 
     def __post_init__(self):
-        if self.num_clusters < 1 or self.points_per_cluster < 1:
-            raise ValueError("cluster counts must be positive")
-        if self.background_points < 1:
-            raise ValueError("background_points must be positive")
+        for name in ("num_clusters", "points_per_cluster", "background_points"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         # phrased so that NaN, which fails every comparison, is rejected
         for name in ("cluster_radius", "background_extent"):
             value = getattr(self, name)

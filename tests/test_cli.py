@@ -143,6 +143,26 @@ class TestSampleStudy:
                      "--attention", str(att), "--n", "8"]) == 2
         assert f"{att}:4:" in capsys.readouterr().err
 
+    def test_blank_attention_rows_skipped(self, tmp_path, capsys):
+        scene_dir = tmp_path / "scene"
+        main(["gen-scene", "--outdir", str(scene_dir)])
+        att = scene_dir / "attention.csv"
+        header, *rows = att.read_text().splitlines()
+        gappy = tmp_path / "gappy.csv"
+        gappy.write_text("\n".join([header, "", *rows[:2], "", "", *rows[2:], ""]))
+        outs = []
+        for path in (att, gappy):
+            outs.append(tmp_path / f"study-{path.stem}.csv")
+            assert main(["sample-study", "--cloud", str(scene_dir / "cloud.bin"),
+                         "--attention", str(path), "--n", "8",
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        # blank rows still count toward the reported line number
+        gappy.write_text("\n".join([header, "", "0,0.5", "", "1,2.0"]) + "\n")
+        assert main(["sample-study", "--cloud", str(scene_dir / "cloud.bin"),
+                     "--attention", str(gappy), "--n", "8"]) == 2
+        assert f"{gappy}:5:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("reorder", ["reversed", "skipped", "not_integer"])
     def test_attention_index_out_of_position_is_data_error(
             self, tmp_path, capsys, reorder):
@@ -460,6 +480,24 @@ class TestLossEval:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {fixture}:")
         assert repr(key) in err and f"--focal-{key}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where, key", [
+        ("key", "stage"), ("key", "_comment"), ("stages key", "rcnn_rge"),
+    ])
+    def test_unread_fixture_key_is_data_error(self, tmp_path, capsys, where, key):
+        payload = self.fixture_payload()
+        if where == "stages key":
+            payload["stages"][key] = 1.0
+        else:  # "stage" is the misspelling that once dropped "total" silently
+            payload[key] = payload.pop("stages")
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(payload))
+        out = tmp_path / "losses.json"
+        assert main(["loss-eval", "--fixture", str(fixture),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {fixture}: {where} {key!r} is not read\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("name, box", [

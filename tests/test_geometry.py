@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from fuse3d import (
     Box3D,
@@ -474,7 +474,8 @@ class TestNms:
             nms([unit_box(), unit_box(cx=10.0)], [0.9, 0.8], threshold)
 
     def test_box_and_score_counts_must_match(self):
-        with pytest.raises(DimensionMismatch, match="2 boxes but 3 scores"):
+        message = "scores must have shape (2,), got (3,)"
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
             nms([unit_box(), unit_box(cx=10.0)], [0.9, 0.8, 0.7], 0.5)
 
     @pytest.mark.parametrize("shape", [(2, 1), (2, 2)])
@@ -778,8 +779,11 @@ def clustered_set(draw):
 class TestNmsProperties:
     # the schedule runs at the library's block size and at blocks of 12
     # and 5 boxes, where a set of 150 spans many blocks and kept boxes
-    # stay pending over several of them
-    @settings(derandomize=True, max_examples=30, deadline=None)
+    # stay pending over several of them. Shrinking a failing example
+    # took minutes, so it is skipped: a failure reports the first
+    # falsifying example as generated.
+    @settings(derandomize=True, max_examples=30, deadline=None,
+              phases=[p for p in Phase if p is not Phase.shrink])
     @given(clustered_set(),
            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
            st.integers(1, 160), st.integers(1, 80), st.sampled_from([64, 12, 5]))
@@ -789,8 +793,7 @@ class TestNmsProperties:
         iou = table_iou(boxes)
         assert all(iou(boxes[0], b) == iou_bev(boxes[0], b) for b in boxes[:8])
         props = [Proposal(b, s) for b, s in zip(boxes, scores)]
-        later = np.triu(np.ones((block, block), dtype=bool), 1)
-        with mock.patch.multiple(geometry, _NMS_BLOCK=block, _LATER=later):
+        with mock.patch.object(geometry, "_NMS_BLOCK", block):
             kept = nms(boxes, scores, threshold)
             out = select_proposals(props, pre_nms_top=top, nms_threshold=threshold,
                                    keep=keep)

@@ -127,6 +127,20 @@ class TestCalib:
         expected = p2 @ r0_pad @ tr_pad
         np.testing.assert_allclose(read_calib(path), expected, atol=1e-12)
 
+    def test_full_kitti_layout_reads_only_its_three_keys(self, tmp_path):
+        # a real calib file also carries P0, P1, P3 and Tr_imu_to_velo;
+        # they, blank lines and lines without a colon are skipped
+        row = " ".join(["7.2e+02"] * 12)
+        lines = IDENTITY_CALIB.splitlines()
+        path = tmp_path / "calib.txt"
+        path.write_text("\n".join([
+            f"P0: {row}", f"P1: {row}", "", lines[0], f"P3: {row}",
+            "calibration for drive 0001", lines[1], lines[2],
+            "Tr_imu_to_velo: 1 0 0 x", "",
+        ]))
+        np.testing.assert_array_equal(
+            read_calib(path), np.hstack([np.eye(3), np.zeros((3, 1))]))
+
     def test_components_exposed(self, tmp_path):
         path = tmp_path / "calib.txt"
         path.write_text(IDENTITY_CALIB)
@@ -186,6 +200,15 @@ class TestLabels:
         with pytest.raises(ParseError) as err:
             read_labels(path)
         assert f"{path}:2:" in str(err.value)
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "label.txt"
+        path.write_text("\n" + CAR_LINE + "\n   \n\n" + CAR_LINE + "\n\n")
+        assert [name for name, _ in read_labels(path)] == ["Car", "Car"]
+        path.write_text("\n" + CAR_LINE + "\n\n" + CAR_LINE.replace("46.70", "x"))
+        with pytest.raises(ParseError) as err:
+            read_labels(path)
+        assert f"{path}:4:" in str(err.value)
 
     def test_trailing_score_tolerated(self, tmp_path):
         path = tmp_path / "label.txt"

@@ -78,6 +78,17 @@ class TestSelectProposals:
         with pytest.raises(ValueError, match="must be positive"):
             select_proposals([proposal()], **caps)
 
+    @pytest.mark.parametrize("name", ["pre_nms_top", "keep"])
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_cap_error_names_the_argument_and_value(self, name, value):
+        message = f"^{name} must be positive, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            select_proposals([proposal()], **{name: value})
+
+    def test_both_caps_bad_reports_pre_nms_top(self):
+        with pytest.raises(ValueError, match="^pre_nms_top must be positive, got 0$"):
+            select_proposals([proposal()], pre_nms_top=0, keep=0)
+
     @pytest.mark.parametrize("score", [np.nan, np.inf])
     def test_nonfinite_score_rejected(self, score):
         with pytest.raises(ValueError, match="score must be finite"):
@@ -274,6 +285,12 @@ class TestRoiPooledFusion:
         f_img, f_pt, f_fused = feature_set(rng, 4)
         with pytest.raises(DimensionMismatch):
             roi_pooled_fusion(proposal(), cloud, f_img, f_pt, f_fused)
+
+    def test_first_bad_stream_in_argument_order_is_reported(self):
+        cloud = PointCloud(np.zeros((3, 3)))
+        f_img, _, f_fused = feature_set(np.random.default_rng(86), 4)
+        with pytest.raises(DimensionMismatch, match=r"^f_img must have shape \(3, C\)"):
+            roi_pooled_fusion(proposal(), cloud, f_img, "not numbers", f_fused)
 
     @pytest.mark.parametrize("n_points", [0, -1])
     def test_point_budget_below_one_rejected(self, n_points):

@@ -67,6 +67,13 @@ class TestSyntheticScene:
         with pytest.raises(ValueError):
             SyntheticSceneSpec(cluster_radius=0.0)
 
+    @pytest.mark.parametrize("field", ["num_clusters", "points_per_cluster",
+                                       "background_points"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_count_error_names_the_field_and_value(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive, got {value}$"):
+            SyntheticSceneSpec(**{field: value})
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             SyntheticSceneSpec(seed=-1)
