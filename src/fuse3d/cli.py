@@ -90,12 +90,19 @@ def _box_to_json(box: Box3D) -> dict:
     }
 
 
+_BOX_KEYS = ("center", "length", "height", "width", "yaw")
+
+
 def _box_from_json(obj, name: str) -> Box3D:
     try:
-        return Box3D(obj["center"], obj["length"], obj["height"], obj["width"],
-                     obj["yaw"])
+        if not isinstance(obj, dict):
+            raise TypeError("expected a JSON object")
+        for key in obj:
+            if key not in _BOX_KEYS:
+                raise ValueError(f"key {key!r} is not read")
+        return Box3D(*(obj[key] for key in _BOX_KEYS))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad box {name!r}: {exc}") from None
+        raise ValueError(f"bad box {name!r}: {exc}") from None
 
 
 def _float_list(raw: str) -> list[float]:
@@ -163,14 +170,21 @@ def _read_attention_csv(path) -> np.ndarray:
     Data row k (from 0) must hold index k, so score k is point k's.
     """
     scores = []
+    first = True
     with open(path, newline="") as fh:
         for row_no, row in enumerate(csv.reader(fh), 1):
             if not row:
                 continue
-            if row_no == 1 and row == ["index", "score"]:
+            # the header may only be the first non-blank row
+            if first and row == ["index", "score"]:
+                first = False
                 continue
+            first = False
+            if len(row) != 2:
+                raise ParseError(f"{path}:{row_no}: expected 2 fields "
+                                 f"(index,score), got {len(row)}")
             try:
-                index, score = int(row[0]), float(row[-1])
+                index, score = int(row[0]), float(row[1])
             except ValueError as exc:
                 raise ParseError(f"{path}:{row_no}: {exc}") from None
             if index != len(scores):
@@ -180,7 +194,7 @@ def _read_attention_csv(path) -> np.ndarray:
             # phrased so that NaN, which fails every comparison, is rejected
             if not 0.0 < score < 1.0:
                 raise ParseError(
-                    f"{path}:{row_no}: attention score {row[-1]!r} must lie "
+                    f"{path}:{row_no}: attention score {row[1]!r} must lie "
                     "strictly in (0, 1)"
                 )
             scores.append(score)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,18 @@ class SamplerConfig:
     n: int
     lam: float = 1.4
     seed_index: int = 0
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int. numpy integers pass; a float, a bool (numpy's
+    refuses ``operator.index`` itself) or any other non-integer is an
+    InvalidCount naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidCount(f"{name} must be an integer, got {value!r}")
 
 
 def _x_index(sx: np.ndarray) -> tuple[memoryview, float]:
@@ -65,19 +78,28 @@ def farthest_point_sampling(
     of points nearer to it than the largest running minimum, so the
     points are sorted by x once and each pick updates only the
     contiguous run of that order, found by bisection, whose x lies
-    within that distance of its own. The argmax still spans every point
-    in original index order, so picks and ties are exactly those of the
-    full update.
+    within that distance of its own. The running minima are kept in x
+    order, so that the update is a slice, and copied into a second array
+    in original index order, where the argmax spans every point; picks
+    and ties are exactly those of the full update.
 
-    Working memory is O(N): the x-sorted (3, N) coordinate copy and its
-    permutation, the running minimum distances and a (3, N) scratch
-    block, all allocated before the first pick, plus a window-sized
-    temporary for the running minima each pick gathers.
+    Working memory is O(N), 80 bytes per point, all allocated before the
+    first pick: the x-sorted (3, N) coordinate copy, its permutation and
+    the inverse, the two N-length arrays of running minima and a (3, N)
+    scratch block. A pick allocates no temporary of its window's size.
+
+    Raises
+    ------
+    InvalidCount
+        When ``n`` or ``seed_index`` is not an integer (a float or a
+        bool; numpy integers are accepted) or lies out of range.
 
     Returns
     -------
     (n,) int ndarray of chosen indices, in selection order.
     """
+    n = _count(n, "n")
+    seed_index = _count(seed_index, "seed_index")
     coords = cloud.coords
     total = len(cloud)
     if n < 1 or n > total:
@@ -85,11 +107,16 @@ def farthest_point_sampling(
     if not 0 <= seed_index < total:
         raise InvalidCount(f"seed_index {seed_index} outside [0, {total})")
     order = np.argsort(coords[:, 0], kind="stable")
+    rank = np.empty(total, dtype=np.intp)
+    rank[order] = np.arange(total)
     pts = coords.T.take(order, axis=1)
     x_sorted, pad = _x_index(pts[0])
-    # min squared distance from each point to the chosen set, in
-    # original order so argmax breaks ties toward the lower index;
-    # chosen entries are forced negative so argmax never revisits them
+    # min squared distance from each point to the chosen set, kept twice:
+    # run_d2 in x order, so that each pick's window is a slice, and
+    # min_d2 in original order, so that argmax breaks ties toward the
+    # lower index; chosen entries are forced negative so argmax never
+    # revisits them
+    run_d2 = np.full(total, np.inf)
     min_d2 = np.full(total, np.inf)
     diff = np.empty((3, total))
     chosen = np.empty(n, dtype=np.intp)
@@ -104,7 +131,6 @@ def farthest_point_sampling(
         lo = bisect.bisect_left(x_sorted, px - reach)
         hi = bisect.bisect_left(x_sorted, px + reach, lo)
         d = diff[:, :hi - lo]
-        idx = order[lo:hi]
         # d2 = dx*dx + dy*dy + dz*dz in this order: the order fixes the
         # rounding, and with it which of two near-equal distances wins
         np.subtract(pts[:, lo:hi], p, out=d)
@@ -112,9 +138,12 @@ def farthest_point_sampling(
         d2 = d[0]
         d2 += d[1]
         d2 += d[2]
-        np.minimum(min_d2[idx], d2, out=d2)
-        min_d2[idx] = d2
-        min_d2[last] = -1.0
+        # the pad is positive, so the window holds the pick itself and
+        # its -1 reaches min_d2 with the rest of the window
+        run_d2[rank[last]] = -1.0
+        run = run_d2[lo:hi]
+        np.minimum(run, d2, out=run)
+        min_d2[order[lo:hi]] = run
         last = chosen[k] = min_d2.argmax()
     return chosen
 
@@ -138,6 +167,8 @@ def hybrid_sweep(
     list of (lam, indices) sorted by lam, each ``indices`` equal to
     ``hybrid_sample(cloud, attention, SamplerConfig(n, lam, seed_index))``.
     """
+    n = _count(n, "n")
+    seed_index = _count(seed_index, "seed_index")
     total = len(cloud)
     att = checked_array(attention, "attention", (total,))
     # phrased so that NaN, which fails every comparison, is rejected

@@ -163,6 +163,44 @@ class TestSampleStudy:
                      "--attention", str(gappy), "--n", "8"]) == 2
         assert f"{gappy}:5:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, fields", [("0,zzz,0.5", 3), ("0", 1)])
+    def test_attention_row_without_two_fields_is_data_error(
+            self, tmp_path, capsys, row, fields):
+        scene_dir = tmp_path / "scene"
+        main(["gen-scene", "--outdir", str(scene_dir)])
+        att = scene_dir / "attention.csv"
+        header, *rows = att.read_text().splitlines()
+        att.write_text("\n".join([header, row, *rows[1:]]) + "\n")
+        capsys.readouterr()
+        assert main(["sample-study", "--cloud", str(scene_dir / "cloud.bin"),
+                     "--attention", str(att), "--n", "8"]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {att}:2: expected 2 fields (index,score), "
+            f"got {fields}\n")
+
+    def test_attention_header_on_first_non_blank_row_only(self, tmp_path,
+                                                           capsys):
+        scene_dir = tmp_path / "scene"
+        main(["gen-scene", "--outdir", str(scene_dir)])
+        att = scene_dir / "attention.csv"
+        header, *rows = att.read_text().splitlines()
+        lead = tmp_path / "lead.csv"
+        lead.write_text("\n".join(["", "", header, *rows]) + "\n")
+        outs = []
+        for path in (att, lead):
+            outs.append(tmp_path / f"study-{path.stem}.csv")
+            assert main(["sample-study", "--cloud", str(scene_dir / "cloud.bin"),
+                         "--attention", str(path), "--n", "8",
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        # a second header is a data row
+        lead.write_text("\n".join(["", header, header, *rows]) + "\n")
+        capsys.readouterr()
+        assert main(["sample-study", "--cloud", str(scene_dir / "cloud.bin"),
+                     "--attention", str(lead), "--n", "8"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {lead}:3: invalid literal")
+
     @pytest.mark.parametrize("reorder", ["reversed", "skipped", "not_integer"])
     def test_attention_index_out_of_position_is_data_error(
             self, tmp_path, capsys, reorder):
@@ -498,6 +536,19 @@ class TestLossEval:
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"data error: {fixture}: {where} {key!r} is not read\n")
+        assert not out.exists()
+
+    def test_unread_box_key_is_data_error(self, tmp_path, capsys):
+        payload = self.fixture_payload()
+        payload["gt_box"] = dict(payload["gt_box"], yaw_deg=90.0)
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(payload))
+        out = tmp_path / "losses.json"
+        assert main(["loss-eval", "--fixture", str(fixture),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {fixture}: bad box 'gt_box': key 'yaw_deg' is not "
+            "read\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("name, box", [

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,6 +144,28 @@ class TestFarthestPointSampling:
         with pytest.raises(InvalidCount):
             farthest_point_sampling(cloud, 2, seed_index=5)
 
+    @pytest.mark.parametrize("n, seed_index, name, value", [
+        (2.5, 0, "n", 2.5),
+        (np.float64(2.0), 0, "n", np.float64(2.0)),
+        (True, 0, "n", True),
+        ("2", 0, "n", "2"),
+        (2, 1.5, "seed_index", 1.5),
+        (2, np.float64(2.0), "seed_index", np.float64(2.0)),
+        (2, False, "seed_index", False),
+        (2, np.bool_(True), "seed_index", np.bool_(True)),
+    ])
+    def test_non_integer_counts_are_invalid(self, n, seed_index, name, value):
+        cloud = make_cloud(np.random.default_rng(32), 5)
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(InvalidCount, match=re.escape(message)):
+            farthest_point_sampling(cloud, n, seed_index)
+
+    def test_numpy_integer_counts_accepted(self):
+        cloud = make_cloud(np.random.default_rng(32), 9)
+        np.testing.assert_array_equal(
+            farthest_point_sampling(cloud, np.int32(4), np.uint8(3)),
+            farthest_point_sampling(cloud, 4, 3))
+
     def test_indices_distinct_even_with_duplicates(self):
         coords = np.zeros((6, 3))  # fully degenerate cloud
         idx = farthest_point_sampling(PointCloud(coords), 6)
@@ -174,6 +199,32 @@ class TestFarthestPointSampling:
         n = len(cloud)
         got = farthest_point_sampling(cloud, n, seed_index=11)
         assert got.tolist() == rowwise_fps(cloud.coords, n, seed_index=11)
+
+    @pytest.mark.parametrize("seed_index", [0, 7, 2048, 4095])
+    def test_permuted_lattice_ties_follow_index_order(self, seed_index):
+        # the lattice is built x-major, so its index order is its x order;
+        # permuted, a tie won by the lowest x and one won by the lowest
+        # index pick different points
+        coords = large_clouds()["lattice"].coords
+        coords = coords[np.random.default_rng(48).permutation(len(coords))]
+        assert not np.all(np.diff(coords[:, 0]) >= 0)
+        n = len(coords)
+        got = farthest_point_sampling(PointCloud(coords), n, seed_index)
+        assert got.tolist() == rowwise_fps(coords, n, seed_index)
+
+    def test_working_memory_per_point(self):
+        n_pts = 65536
+        cloud = make_cloud(np.random.default_rng(49), n_pts)
+        tracemalloc.start()
+        try:
+            farthest_point_sampling(cloud, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the x-sorted coordinates and the scratch block (24 bytes each),
+        # the x order, its inverse and the two running minima (8 each);
+        # a per-pick gather of the running minima adds 8 more
+        assert peak < 81 * n_pts
 
     def test_prefix_property(self):
         cloud = large_clouds()["duplicates"]
@@ -244,6 +295,21 @@ class TestHybridSample:
         att[3] = np.nan
         with pytest.raises(ValueError, match="strictly in"):
             hybrid_sample(cloud, att, SamplerConfig(n=5))
+
+    @pytest.mark.parametrize("cfg, message", [
+        (SamplerConfig(n=2.5), "n must be an integer, got 2.5"),
+        (SamplerConfig(n=5, seed_index=1.5),
+         "seed_index must be an integer, got 1.5"),
+    ])
+    def test_non_integer_counts_are_invalid(self, cfg, message):
+        rng = np.random.default_rng(40)
+        cloud = make_cloud(rng, 20)
+        att = synthetic_attention(rng, 20)
+        with pytest.raises(InvalidCount, match=re.escape(message)):
+            hybrid_sample(cloud, att, cfg)
+        # checked before the attention scores
+        with pytest.raises(InvalidCount, match=re.escape(message)):
+            hybrid_sweep(cloud, att[:3], cfg.n, [1.0], cfg.seed_index)
 
     def test_tied_scores_rank_toward_lower_index(self):
         rng = np.random.default_rng(47)
