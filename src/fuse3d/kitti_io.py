@@ -79,6 +79,8 @@ def _read_calib_components(path) -> CalibData:
         key = key.strip()
         if key not in _CALIB_KEYS:
             continue
+        if key in found:
+            raise ParseError(f"{path}:{line_no}: {key} given a second time")
         try:
             values = [float(v) for v in rest.split()]
         except ValueError as exc:
@@ -106,14 +108,15 @@ def read_calib(path) -> np.ndarray:
     return _read_calib_components(path).projection
 
 
-_LABEL_FIELDS = 15  # class + 14 numbers (a trailing score is tolerated)
+_LABEL_FIELDS = 15  # class + 14 numbers, then an optional score
 
 
 def read_labels(path) -> list[tuple[str, Box3D]]:
     """Parse object labels, one camera-frame box per line.
 
     Line layout: class, truncation, occlusion, alpha, four 2D-bbox
-    values, h, w, l, x, y, z, yaw. The stored location is the center of
+    values, h, w, l, x, y, z, yaw, and an optional finite score, which
+    is checked and not returned. The stored location is the center of
     the bottom face (camera y points down), so the returned box center
     is lifted by half the height. 'DontCare' rows are skipped.
     """
@@ -125,15 +128,17 @@ def read_labels(path) -> list[tuple[str, Box3D]]:
         parts = line.split()
         if parts[0] == "DontCare":
             continue
-        if len(parts) < _LABEL_FIELDS:
+        if not _LABEL_FIELDS <= len(parts) <= _LABEL_FIELDS + 1:
             raise ParseError(
-                f"{path}:{line_no}: expected {_LABEL_FIELDS} fields, "
-                f"got {len(parts)}"
+                f"{path}:{line_no}: expected {_LABEL_FIELDS} fields, or "
+                f"{_LABEL_FIELDS + 1} with a score, got {len(parts)}"
             )
         try:
-            values = [float(p) for p in parts[1:_LABEL_FIELDS]]
+            values = [float(p) for p in parts[1:]]
         except ValueError as exc:
             raise ParseError(f"{path}:{line_no}: {exc}") from None
+        if not np.isfinite(values[_LABEL_FIELDS - 1:]).all():
+            raise ParseError(f"{path}:{line_no}: score must be finite")
         h, w, l, x, y, z, yaw = values[7:14]
         try:
             box = Box3D(np.array([x, y - h / 2.0, z]), l, h, w, yaw)

@@ -2,17 +2,18 @@
 
 All functions accept array-likes and compute in 64-bit floats. The
 kernels return new arrays; the input check ``checked_array`` returns a
-float64 array argument itself. Nothing is mutated in place and there is
-no global state.
+float64 array argument itself, and ``_count`` an integer argument as an
+int. Nothing is mutated in place and there is no global state.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidCount
 
 # Clamp bounds keeping sigmoid outputs strictly inside (0, 1): without
 # them float64 rounds to exactly 0.0 / 1.0 once |x| exceeds ~36.
@@ -38,6 +39,18 @@ def checked_array(value, name: str, shape=None, finite: bool = False) -> np.ndar
     if finite and not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite")
     return out
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int. numpy integers pass; a float, a bool (numpy's
+    refuses ``operator.index`` itself) or any other non-integer is an
+    InvalidCount naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidCount(f"{name} must be an integer, got {value!r}")
 
 
 def fold(value: float, half_range: float) -> float:

@@ -14,7 +14,7 @@ from itertools import islice
 import numpy as np
 
 from .geometry import Box3D, PointCloud, _greedy_nms, enlarge_box, points_in_box
-from .numerics import checked_array
+from .numerics import _count, checked_array
 
 
 @dataclass
@@ -55,8 +55,11 @@ def select_proposals(
     returned. Score ties break toward the lower input index. Greedy NMS
     fixes its first picks before it looks at anything later, so
     suppression stops once ``keep`` proposals are kept; the result
-    equals ``nms(...)[:keep]``.
+    equals ``nms(...)[:keep]``. Both caps must be positive integers
+    (numpy integers pass; a float or a bool is an InvalidCount).
     """
+    pre_nms_top = _count(pre_nms_top, "pre_nms_top")
+    keep = _count(keep, "keep")
     for name, value in (("pre_nms_top", pre_nms_top), ("keep", keep)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
@@ -81,13 +84,19 @@ def roi_pooled_fusion(
     fused features] for one contained point. Regions holding more than
     ``n_points`` points are subsampled uniformly at random with the
     given seed; smaller regions keep every point and pad with zeros, so
-    the output shape is constant regardless of occupancy.
+    the output shape is constant regardless of occupancy. ``n_points``
+    must be a positive integer and ``seed`` a non-negative one (numpy
+    integers pass; a float or a bool is an InvalidCount).
     """
+    n_points = _count(n_points, "n_points")
+    seed = _count(seed, "seed")
+    if n_points < 1:
+        raise ValueError(f"n_points must be positive, got {n_points}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     f_img, f_pt, f_fused = (
         checked_array(f, name, (len(cloud), "C"))
         for f, name in ((f_img, "f_img"), (f_pt, "f_pt"), (f_fused, "f_fused")))
-    if n_points < 1:
-        raise ValueError(f"n_points must be positive, got {n_points}")
     inside = points_in_box(cloud, enlarge_box(proposal.box, enlarge))
     if inside.size > n_points:
         rng = np.random.default_rng(seed)

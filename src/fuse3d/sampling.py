@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidCount, TooFewPoints
 from .geometry import PointCloud, _x_pad, _x_reach
-from .numerics import checked_array
+from .numerics import _count, checked_array
 
 
 @dataclass(frozen=True)
@@ -32,18 +31,6 @@ class SamplerConfig:
     n: int
     lam: float = 1.4
     seed_index: int = 0
-
-
-def _count(value, name: str) -> int:
-    """``value`` as an int. numpy integers pass; a float, a bool (numpy's
-    refuses ``operator.index`` itself) or any other non-integer is an
-    InvalidCount naming ``name``."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InvalidCount(f"{name} must be an integer, got {value!r}")
 
 
 def _x_index(sx: np.ndarray) -> tuple[memoryview, float]:
@@ -106,7 +93,7 @@ def farthest_point_sampling(
         raise InvalidCount(f"cannot sample {n} of {total} points")
     if not 0 <= seed_index < total:
         raise InvalidCount(f"seed_index {seed_index} outside [0, {total})")
-    order = np.argsort(coords[:, 0], kind="stable")
+    order = np.argsort(coords[:, 0])
     rank = np.empty(total, dtype=np.intp)
     rank[order] = np.arange(total)
     pts = coords.T.take(order, axis=1)
@@ -264,7 +251,7 @@ def aad(cloud: PointCloud, sampled) -> tuple[np.ndarray, float]:
             f"sampled indices must be distinct and lie in [0, {len(cloud)})"
         )
     k = idx.size
-    order = np.argsort(cloud.coords[idx, 0], kind="stable")
+    order = np.argsort(cloud.coords[idx, 0])
     pts = cloud.coords[idx[order]]  # x-sorted
     # bound each point's third-nearest d2 by its third-nearest of +-8
     # neighbours in Morton (x-z interleaved) order; the order only sets
@@ -275,7 +262,7 @@ def aad(cloud: PointCloud, sampled) -> tuple[np.ndarray, float]:
     for shift, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333),
                         (1, 0x55555555)):
         cell = (cell | cell << shift) & mask
-    morton = np.argsort(cell[0] << 1 | cell[1], kind="stable")
+    morton = np.argsort(cell[0] << 1 | cell[1])
     near = np.full((k, 16), np.inf)  # rows in x order
     for step in range(1, 9):
         i, j = morton[:-step], morton[step:]
@@ -290,12 +277,18 @@ def aad(cloud: PointCloud, sampled) -> tuple[np.ndarray, float]:
         r1 = min(r0 + 32, k)
         lo, hi = _x_window(x_sorted, x_sorted[r0], x_sorted[r1 - 1],
                            near[r0:r1, 2].max(), pad)
-        # the (rows, window, 3) differences, written one coordinate at a
-        # time so that the subtraction runs along the window
-        diff = np.empty((r1 - r0, hi - lo, 3))
-        np.subtract(cols[:, r0:r1, None], cols[:, None, lo:hi],
-                    out=diff.transpose(2, 0, 1))
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        # the (3, rows, window) differences, squared in place; d2 sums
+        # them as (dx*dx + dz*dz) + dy*dy, the order in which numpy's
+        # einsum sums a contiguous (..., 3) row, so each distance keeps
+        # the bits of the dense k x k einsum; a square beyond the float
+        # range is inf, as there
+        diff = np.empty((3, r1 - r0, hi - lo))
+        np.subtract(cols[:, r0:r1, None], cols[:, None, lo:hi], out=diff)
+        with np.errstate(over="ignore"):
+            diff *= diff
+            d2 = diff[0]
+            d2 += diff[2]
+            d2 += diff[1]
         np.fill_diagonal(d2[:, r0 - lo:], np.inf)
         d2.partition(2, axis=1)
         nearest[order[r0:r1]] = d2[:, :3]

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -141,6 +142,17 @@ class TestCalib:
         np.testing.assert_array_equal(
             read_calib(path), np.hstack([np.eye(3), np.zeros((3, 1))]))
 
+    @pytest.mark.parametrize("line", [0, 1, 2])
+    def test_repeated_key_names_its_second_line(self, tmp_path, line):
+        # a second line for a key used to replace the first without a word
+        lines = IDENTITY_CALIB.splitlines()
+        key = lines[line].split(":")[0]
+        path = tmp_path / "calib.txt"
+        path.write_text("\n".join(lines + ["", lines[line]]) + "\n")
+        with pytest.raises(ParseError, match=(
+                rf"^{re.escape(str(path))}:5: {key} given a second time$")):
+            read_calib(path)
+
     def test_components_exposed(self, tmp_path):
         path = tmp_path / "calib.txt"
         path.write_text(IDENTITY_CALIB)
@@ -212,6 +224,23 @@ class TestLabels:
 
     def test_trailing_score_tolerated(self, tmp_path):
         path = tmp_path / "label.txt"
-        path.write_text(CAR_LINE + " 0.98\n")
-        assert len(read_labels(path)) == 1
+        path.write_text(CAR_LINE + "\n" + CAR_LINE + " 0.98\n")
+        [(_, plain), (_, scored)] = read_labels(path)
+        np.testing.assert_array_equal(scored.center, plain.center)
 
+    @pytest.mark.parametrize("extra, fields", [(" 0.98 1 2", 18),
+                                               (" 0.98 extra", 17)])
+    def test_more_than_sixteen_fields_rejected(self, tmp_path, extra, fields):
+        path = tmp_path / "label.txt"
+        path.write_text(CAR_LINE + "\n" + CAR_LINE + extra + "\n")
+        with pytest.raises(ParseError, match=(
+                rf"^{re.escape(str(path))}:2: expected 15 fields, "
+                rf"or 16 with a score, got {fields}$")):
+            read_labels(path)
+
+    @pytest.mark.parametrize("score", ["high", "nan", "inf", "-inf"])
+    def test_score_must_be_a_finite_number(self, tmp_path, score):
+        path = tmp_path / "label.txt"
+        path.write_text(CAR_LINE + " 0.5\n" + CAR_LINE + f" {score}\n")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:2: "):
+            read_labels(path)

@@ -4,6 +4,7 @@ import pytest
 from fuse3d import (
     Box3D,
     DimensionMismatch,
+    InvalidCount,
     PointCloud,
     PooledRoI,
     Proposal,
@@ -88,6 +89,19 @@ class TestSelectProposals:
     def test_both_caps_bad_reports_pre_nms_top(self):
         with pytest.raises(ValueError, match="^pre_nms_top must be positive, got 0$"):
             select_proposals([proposal()], pre_nms_top=0, keep=0)
+
+    @pytest.mark.parametrize("name", ["pre_nms_top", "keep"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(3.0), "4"])
+    def test_cap_must_be_an_integer(self, name, value):
+        props = [proposal(cx=5.0 * i) for i in range(4)]
+        with pytest.raises(InvalidCount, match=f"^{name} must be an integer"):
+            select_proposals(props, **{name: value})
+
+    @pytest.mark.parametrize("name", ["pre_nms_top", "keep"])
+    def test_numpy_integer_cap_accepted(self, name):
+        props = [proposal(cx=5.0 * i, score=0.9 - 0.1 * i) for i in range(4)]
+        out = select_proposals(props, **{name: np.int32(2)})
+        assert out == props[:2]
 
     @pytest.mark.parametrize("score", [np.nan, np.inf])
     def test_nonfinite_score_rejected(self, score):
@@ -299,6 +313,34 @@ class TestRoiPooledFusion:
         with pytest.raises(ValueError, match="n_points must be positive"):
             roi_pooled_fusion(proposal(), cloud, f_img, f_pt, f_fused,
                               n_points=n_points)
+
+    @pytest.mark.parametrize("name", ["n_points", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, False, np.float64(3.0)])
+    def test_budget_and_seed_must_be_integers(self, name, value):
+        # one point inside, so no draw would ever reach the seed
+        cloud = PointCloud(np.zeros((3, 3)))
+        f_img, f_pt, f_fused = feature_set(np.random.default_rng(89), 3)
+        with pytest.raises(InvalidCount, match=f"^{name} must be an integer"):
+            roi_pooled_fusion(proposal(), cloud, f_img, f_pt, f_fused,
+                              **{name: value})
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_negative_seed_rejected(self, seed):
+        cloud = PointCloud(np.zeros((3, 3)))
+        f_img, f_pt, f_fused = feature_set(np.random.default_rng(90), 3)
+        with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
+            roi_pooled_fusion(proposal(), cloud, f_img, f_pt, f_fused, seed=seed)
+
+    def test_numpy_integer_budget_and_seed_accepted(self):
+        rng = np.random.default_rng(91)
+        cloud = PointCloud(rng.uniform(-0.5, 0.5, size=(100, 3)))
+        f_img, f_pt, f_fused = feature_set(rng, 100)
+        a = roi_pooled_fusion(proposal(l=2.0), cloud, f_img, f_pt, f_fused,
+                              n_points=16, seed=3)
+        b = roi_pooled_fusion(proposal(l=2.0), cloud, f_img, f_pt, f_fused,
+                              n_points=np.int16(16), seed=np.uint64(3))
+        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(a.indices, b.indices)
 
     def test_default_constants(self):
         import inspect

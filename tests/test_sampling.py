@@ -412,6 +412,41 @@ class TestAad:
         assert np.isinf(per_point[idx >= 40]).all()
         assert np.isfinite(per_point[idx < 40]).all()
 
+    def test_distances_keep_the_dense_sum_order(self):
+        # (dx*dx + dy*dy) + dz*dz, left to right, rounds apart from the
+        # dense formula's (dx*dx + dz*dz) + dy*dy on some of these
+        # three-nearest distances, so a block summed in another order
+        # changes per-point values
+        rng = np.random.default_rng(53)
+        coords = rng.normal(size=(300, 3)) * [3.0, 0.7, 5.0]
+        idx = rng.permutation(300)
+        sq = (coords[idx, None] - coords[None, idx]) ** 2
+        left = (sq[..., 0] + sq[..., 1]) + sq[..., 2]
+        np.fill_diagonal(left, np.inf)
+        left_per_point = np.sort(np.partition(left, 2, axis=1)[:, :3],
+                                 axis=1).mean(axis=1)
+        per_point = assert_aad_equals_dense_formula(coords, idx)
+        assert (per_point != left_per_point).any()
+
+    def test_working_memory_per_sampled_point(self):
+        # 4096 of a 16384-point study-like scene: the O(k) arrays plus
+        # one block of 32 rows against its window; a k-sized block buffer
+        # would about double this
+        cloud, _, _ = generate_scene(SyntheticSceneSpec(
+            num_clusters=8, points_per_cluster=512, background_points=12288,
+            seed=0))
+        k = 4096
+        idx = np.sort(np.random.default_rng(0).permutation(len(cloud))[:k])
+        # the first np.unique in a process imports numpy.ma (about 0.5 MB)
+        aad(cloud, idx)
+        tracemalloc.start()
+        try:
+            aad(cloud, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 600 * k
+
 
 def test_x_window_keeps_equal_x_at_zero_reach_and_all_at_infinite():
     sx = np.array([-3.0, -1.0, -1.0, 0.0, 0.0, 0.0, 2.0])
