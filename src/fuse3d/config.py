@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ParseError
 from .losses import BinConfig, BinSpec
+from .numerics import _count
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,11 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a bad value raises ValueError naming its key; NaN fails every check
+        # a bad value raises ValueError naming its key, and a float or a
+        # bool for an integer key InvalidCount; NaN fails every check
+        for key in ("pre_nms_top", "proposals_keep", "roi_points",
+                    "bin_count_xz", "bin_count_yaw", "seed"):
+            _count(getattr(self, key), key)
         if not 0.0 <= self.nms_threshold <= 1.0:
             raise ValueError(
                 f"nms_threshold must be in [0, 1], got {self.nms_threshold}")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, TruncatedFile
-from .numerics import checked_array, finite_diff_grad, sigmoid
+from .numerics import _count, checked_array, finite_diff_grad, sigmoid
 
 # A block's weight arrays in draw, file and gradient order.
 _WEIGHTS = ("w_img_att", "b_img_att", "w_pt_att", "b_pt_att", "w_out", "b_out")
@@ -331,11 +331,16 @@ def run_gradcheck(
     gradients for every group.
 
     Returns a JSON-friendly report with the max relative error per
-    group and overall; a NaN error is kept, so the report fails.
+    group and overall; a NaN error is kept, so the report fails. The
+    seed and the three sizes must be integers (numpy integers too): a
+    float or a bool is an InvalidCount naming the argument.
     """
+    seed = _count(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     for name, value in (("trials", trials), ("max_points", max_points),
                         ("max_channels", max_channels)):
-        if value < 1:
+        if _count(value, name) < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     rng = np.random.default_rng(seed)
     worst = {group: 0.0 for group in _GRAD_GROUPS}

@@ -214,8 +214,7 @@ def _circumradius(box: Box3D) -> float:
 # - Distance queries (sampling): d2 adds non-negative terms to
 #   fl(dx * dx), dx = fl(x - x0), and rounding is monotone, so
 #   fl(dx * dx) <= bound and, with r = fl(sqrt(bound)),
-#   |x - x0| <= r (1 + 3u); a bound a few ulps low (aad's comes from
-#   another summation) adds a few u.
+#   |x - x0| <= r (1 + 3u).
 # - Box containment, with dx, dz the rounded offsets from the center and
 #   c, s the rounded cosine and sine (c^2 + s^2 >= 1 - 4u): lx = c dx - s dz
 #   and lz = s dx + c dz are computed within e = 2u (|dx| + |dz|), fused

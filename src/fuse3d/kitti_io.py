@@ -118,7 +118,8 @@ def read_labels(path) -> list[tuple[str, Box3D]]:
     values, h, w, l, x, y, z, yaw, and an optional finite score, which
     is checked and not returned. The stored location is the center of
     the bottom face (camera y points down), so the returned box center
-    is lifted by half the height. 'DontCare' rows are skipped.
+    is lifted by half the height. 'DontCare' rows pass the field-count,
+    number and score checks and are then skipped.
     """
     out = []
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -126,8 +127,6 @@ def read_labels(path) -> list[tuple[str, Box3D]]:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "DontCare":
-            continue
         if not _LABEL_FIELDS <= len(parts) <= _LABEL_FIELDS + 1:
             raise ParseError(
                 f"{path}:{line_no}: expected {_LABEL_FIELDS} fields, or "
@@ -139,6 +138,9 @@ def read_labels(path) -> list[tuple[str, Box3D]]:
             raise ParseError(f"{path}:{line_no}: {exc}") from None
         if not np.isfinite(values[_LABEL_FIELDS - 1:]).all():
             raise ParseError(f"{path}:{line_no}: score must be finite")
+        # checked like any row, but its -1 sizes make no box
+        if parts[0] == "DontCare":
+            continue
         h, w, l, x, y, z, yaw = values[7:14]
         try:
             box = Box3D(np.array([x, y - h / 2.0, z]), l, h, w, yaw)

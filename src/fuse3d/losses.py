@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, OutOfRange
 from .geometry import Box3D, iou_bev
-from .numerics import checked_array, fold
+from .numerics import _count, checked_array, fold
 
 _PROB_FLOOR = 1e-12
 _IOU_FLOOR = 1e-6
@@ -78,7 +78,7 @@ class BinSpec:
             raise ValueError(
                 f"half_range must be positive and finite, got {self.half_range}"
             )
-        if self.num_bins < 2:
+        if _count(self.num_bins, "num_bins") < 2:
             raise ValueError(f"num_bins must be >= 2, got {self.num_bins}")
 
     @property
@@ -127,6 +127,7 @@ def decode_bins(
 ) -> float:
     """Invert :func:`encode_bins`: a non-wrapping pair whose exact value lies
     in the search range decodes into it, as :func:`encode_bins` measures it."""
+    bin_index = _count(bin_index, "bin_index")
     if not 0 <= bin_index < spec.num_bins:
         raise OutOfRange(f"bin {bin_index} outside [0, {spec.num_bins})")
     r = spec.half_range
@@ -145,6 +146,7 @@ def bin_cross_entropy(logits, target_bin: int) -> float:
     l = checked_array(logits, "logits", ("C",), finite=True)
     if l.size == 0:
         raise DimensionMismatch(f"logits must be non-empty 1-D, got {l.shape}")
+    target_bin = _count(target_bin, "target_bin")
     if not 0 <= target_bin < l.size:
         raise OutOfRange(f"target bin {target_bin} outside [0, {l.size})")
     m = float(l.max())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,13 +119,13 @@ def farthest_point_sampling(
         lo = bisect.bisect_left(x_sorted, px - reach)
         hi = bisect.bisect_left(x_sorted, px + reach, lo)
         d = diff[:, :hi - lo]
-        # d2 = dx*dx + dy*dy + dz*dz in this order: the order fixes the
+        # d2 = (dx*dx + dz*dz) + dy*dy, as in aad: the order fixes the
         # rounding, and with it which of two near-equal distances wins
         np.subtract(pts[:, lo:hi], p, out=d)
         d *= d
         d2 = d[0]
-        d2 += d[1]
         d2 += d[2]
+        d2 += d[1]
         # the pad is positive, so the window holds the pick itself and
         # its -1 reaches min_d2 with the rest of the window
         run_d2[rank[last]] = -1.0
@@ -144,7 +145,9 @@ def hybrid_sweep(
 ) -> list[tuple[float, np.ndarray]]:
     """The hybrid sample at several oversample factors from one FPS run.
 
-    Every factor is validated before any sampling runs. FPS then runs
+    Every factor is validated before any sampling runs: a bool or
+    anything that is not a real number (a string, say) is an
+    InvalidCount, as is a factor outside [1, N/n]. FPS then runs
     once, for the largest candidate count; each factor ranks a prefix
     of that run, which is exactly the FPS its own ``hybrid_sample``
     would draw (see ``farthest_point_sampling``).
@@ -163,12 +166,18 @@ def hybrid_sweep(
         raise ValueError("attention scores must lie strictly in (0, 1)")
     if n < 1 or n > total:
         raise InvalidCount(f"cannot sample {n} of {total} points")
-    lams = [float(lam) for lam in lambdas]
-    for lam in lams:
+    lams = []
+    for lam in lambdas:
+        # bool is an int subclass; numpy's bool is not a numbers.Real
+        if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
+            raise InvalidCount(
+                f"oversample factor must be a real number, got {lam!r}")
+        lam = float(lam)
         if not 1.0 <= lam or lam * n > total * (1.0 + 1e-12):
             raise InvalidCount(
                 f"oversample factor {lam} outside [1, {total}/{n}]"
             )
+        lams.append(lam)
     if not lams:
         return []
     lams.sort()
@@ -254,8 +263,8 @@ def aad(cloud: PointCloud, sampled) -> tuple[np.ndarray, float]:
     order = np.argsort(cloud.coords[idx, 0])
     pts = cloud.coords[idx[order]]  # x-sorted
     # bound each point's third-nearest d2 by its third-nearest of +-8
-    # neighbours in Morton (x-z interleaved) order; the order only sets
-    # the window sizes, any three other points give a valid bound
+    # Morton (x-z interleaved) neighbours, summed as the search sums, so
+    # each bound is its pair's d2 there; any three others give a bound
     xz = pts[:, ::2] - pts[:, ::2].min(axis=0)
     cell = (xz / np.maximum(xz.max(axis=0), np.finfo(np.float64).tiny)
             * 65535).astype(np.int64).T
@@ -263,25 +272,26 @@ def aad(cloud: PointCloud, sampled) -> tuple[np.ndarray, float]:
                         (1, 0x55555555)):
         cell = (cell | cell << shift) & mask
     morton = np.argsort(cell[0] << 1 | cell[1])
+    cols = pts.T.copy()
     near = np.full((k, 16), np.inf)  # rows in x order
     for step in range(1, 9):
         i, j = morton[:-step], morton[step:]
-        d = pts[j] - pts[i]
-        near[j, step - 1] = near[i, step + 7] = np.einsum("ij,ij->i", d, d)
+        d = cols[:, j] - cols[:, i]
+        with np.errstate(over="ignore"):
+            d *= d
+            near[j, step - 1] = near[i, step + 7] = (d[0] + d[2]) + d[1]
     near.partition(2, axis=1)
     # the exact search, rows r0:r1 (32 x-sorted points) at a time
-    cols = pts.T.copy()
     x_sorted, pad = _x_index(cols[0])
     nearest = np.empty((k, 3))
     for r0 in range(0, k, 32):
         r1 = min(r0 + 32, k)
         lo, hi = _x_window(x_sorted, x_sorted[r0], x_sorted[r1 - 1],
                            near[r0:r1, 2].max(), pad)
-        # the (3, rows, window) differences, squared in place; d2 sums
-        # them as (dx*dx + dz*dz) + dy*dy, the order in which numpy's
-        # einsum sums a contiguous (..., 3) row, so each distance keeps
-        # the bits of the dense k x k einsum; a square beyond the float
-        # range is inf, as there
+        # the (3, rows, window) differences, squared in place and summed
+        # as (dx*dx + dz*dz) + dy*dy, FPS's order and the dense oracle's,
+        # so each distance keeps the bits of the full k x k matrix; a
+        # square beyond the float range is inf, as there
         diff = np.empty((3, r1 - r0, hi - lo))
         np.subtract(cols[:, r0:r1, None], cols[:, None, lo:hi], out=diff)
         with np.errstate(over="ignore"):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Box3D, PointCloud, rotation_y
+from .numerics import _count
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,7 @@ class SyntheticSceneSpec:
 
     def __post_init__(self):
         for name in ("num_clusters", "points_per_cluster", "background_points"):
-            value = getattr(self, name)
+            value = _count(getattr(self, name), name)
             if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
         # phrased so that NaN, which fails every comparison, is rejected
@@ -44,7 +45,7 @@ class SyntheticSceneSpec:
                 f"attention_contrast must be in [0, 1), got "
                 f"{self.attention_contrast}"
             )
-        if self.seed < 0:
+        if _count(self.seed, "seed") < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 

@@ -2,9 +2,12 @@
 
 Each oracle takes a different computational path from the code it
 verifies: the brute-force sampler oracle recomputes minimum distances
-from scratch every round, the row-wise one reduces (N, 3) rows where the
-library updates coordinate columns in place, the AAD oracle builds the
-whole distance matrix where the library searches x-windows, box
+from scratch every round, the row-wise one measures every point at each
+pick where the library updates an x-window of coordinate columns in
+place, the AAD oracle builds the whole distance matrix where the
+library searches x-windows (the three sampler oracles square distances
+in the library's one order, (dx*dx + dz*dz) + dy*dy, with explicit
+adds, so their results are bit-equal to the library's), box
 containment goes through corner/edge projections instead of frame
 derotation (the whole-cloud containment oracle keeps the library's own
 arithmetic on every point, where the library derotates only the points
@@ -27,10 +30,17 @@ from typing import Callable
 import numpy as np
 
 
+def _squared_distances(diff: np.ndarray) -> np.ndarray:
+    """(dx*dx + dz*dz) + dy*dy over the last axis of ``diff``; a square
+    beyond the float range is inf."""
+    with np.errstate(over="ignore"):
+        sq = diff * diff
+        return (sq[..., 0] + sq[..., 2]) + sq[..., 1]
+
+
 def brute_fps(coords: np.ndarray, n: int, seed_index: int = 0) -> list[int]:
     """Greedy farthest-first selection, recomputed from scratch per round."""
-    diff = coords[:, None, :] - coords[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    d2 = _squared_distances(coords[:, None, :] - coords[None, :, :])
     chosen = [seed_index]
     for _ in range(n - 1):
         dmin = d2[:, chosen].min(axis=1)
@@ -45,12 +55,12 @@ def rowwise_fps(coords: np.ndarray, n: int, seed_index: int = 0) -> list[int]:
     Needs O(N) memory, so it can check clouds too large for brute_fps.
     """
     chosen = [seed_index]
-    min_d2 = np.sum((coords - coords[seed_index]) ** 2, axis=1)
+    min_d2 = _squared_distances(coords - coords[seed_index])
     min_d2[seed_index] = -1.0
     for _ in range(n - 1):
         nxt = int(np.argmax(min_d2))
         chosen.append(nxt)
-        d2 = np.sum((coords - coords[nxt]) ** 2, axis=1)
+        d2 = _squared_distances(coords - coords[nxt])
         np.minimum(min_d2, d2, out=min_d2)
         min_d2[nxt] = -1.0
     return chosen
@@ -62,8 +72,7 @@ def dense_aad(coords: np.ndarray) -> tuple[np.ndarray, float]:
     Each point's three nearest squared distances are sorted before the
     mean, so the result does not depend on the order partition leaves.
     """
-    diff = coords[:, None, :] - coords[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    d2 = _squared_distances(coords[:, None, :] - coords[None, :, :])
     np.fill_diagonal(d2, np.inf)
     nearest = np.sort(np.partition(d2, 2, axis=1)[:, :3], axis=1)
     per_point = nearest.mean(axis=1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fuse3d import (
+    InvalidCount,
     ParseError,
     RunConfig,
     load_config,
@@ -106,6 +107,17 @@ class TestValidation:
     def test_proposal_caps_below_one_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must be >= 1, got {value}"):
             RunConfig(**{key: value})
+
+    @pytest.mark.parametrize("key", ["pre_nms_top", "proposals_keep",
+                                     "roi_points", "bin_count_xz",
+                                     "bin_count_yaw", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.5, 12.0])
+    def test_integer_keys_must_be_integers(self, key, value):
+        message = f"^{key} must be an integer, got {value!r}$"
+        with pytest.raises(InvalidCount, match=message):
+            RunConfig(**{key: value})
+        with pytest.raises(InvalidCount, match=message):
+            dataclasses.replace(RunConfig(), **{key: value})
 
     def test_out_of_range_file_value_rejected_by_parser(self):
         with pytest.raises(ValueError, match="enlarge must be finite"):

@@ -9,6 +9,7 @@ from fuse3d import (
     AAFInput,
     AAFParams,
     DimensionMismatch,
+    InvalidCount,
     ParseError,
     TruncatedFile,
     aaf_backward,
@@ -299,6 +300,22 @@ class TestBackward:
     def test_run_gradcheck_rejects_bad_eps(self, eps):
         with pytest.raises(ValueError, match="eps must be finite and positive"):
             run_gradcheck(seed=1, trials=2, eps=eps)
+
+    @pytest.mark.parametrize("name", ["seed", "trials", "max_points",
+                                      "max_channels"])
+    @pytest.mark.parametrize("value", [True, 2.5, 2.0])
+    def test_run_gradcheck_counts_and_seed_must_be_integers(self, name, value):
+        args = {"seed": 1, "trials": 2, name: value}
+        with pytest.raises(InvalidCount,
+                           match=f"^{name} must be an integer, got {value!r}$"):
+            run_gradcheck(**args)
+
+    def test_run_gradcheck_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError,
+                           match="^seed must be non-negative, got -1$"):
+            run_gradcheck(seed=-1, trials=1)
+        report = run_gradcheck(seed=np.int64(1), trials=np.int64(2))
+        assert report == run_gradcheck(seed=1, trials=2)
 
     @pytest.mark.parametrize("name", ["trials", "max_points", "max_channels"])
     @pytest.mark.parametrize("value", [0, -3])

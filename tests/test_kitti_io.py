@@ -181,6 +181,30 @@ class TestLabels:
                         + CAR_LINE + "\n")
         assert len(read_labels(path)) == 1
 
+    @pytest.mark.parametrize("row, message", [
+        ("DontCare 1 2", "expected 15 fields, or 16 with a score, got 3"),
+        ("DontCare -1 -1 -10 0 0 0 0 -1 -1 -1 -1000 -1000 -1000 -10 0.5 x",
+         "expected 15 fields, or 16 with a score, got 17"),
+        ("DontCare -1 -1 -10 0 0 0 0 -1 -1 -1 -1000 -1000 -1000 -10 high",
+         "could not convert string to float: 'high'"),
+        ("DontCare -1 -1 -10 0 0 0 0 -1 -1 -1 -1000 -1000 -1000 -10 nan",
+         "score must be finite"),
+    ], ids=["3_fields", "17_fields", "word_score", "nan_score"])
+    def test_dontcare_row_checked_before_it_is_skipped(self, tmp_path, row,
+                                                       message):
+        path = tmp_path / "label.txt"
+        path.write_text(CAR_LINE + "\n" + row + "\n")
+        with pytest.raises(ParseError, match=(
+                rf"^{re.escape(str(path))}:2: {re.escape(message)}$")):
+            read_labels(path)
+
+    def test_kitti_dontcare_row_parses_as_nothing(self, tmp_path):
+        # a real KITTI DontCare row: sizes -1, location -1000, no box
+        path = tmp_path / "label.txt"
+        path.write_text("DontCare -1 -1 -10 503.89 169.71 590.61 190.13 "
+                        "-1 -1 -1 -1000 -1000 -1000 -10\n")
+        assert read_labels(path) == []
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "label.txt"
         path.write_text("")

@@ -11,6 +11,7 @@ from fuse3d import (
     DimensionMismatch,
     DomainError,
     FocalConfig,
+    InvalidCount,
     OutOfRange,
     RegressionPrediction,
     RegressionTerms,
@@ -115,6 +116,19 @@ class TestBins:
             encode_bins(3.0, 0.0, self.spec)  # half-open upper bound
         with pytest.raises(OutOfRange):
             encode_bins(-3.0001, 0.0, self.spec)
+
+    @pytest.mark.parametrize("num_bins", [True, 12.5, 12.0])
+    def test_bin_count_must_be_an_integer(self, num_bins):
+        with pytest.raises(InvalidCount, match=(
+                f"^num_bins must be an integer, got {num_bins!r}$")):
+            BinSpec(3.0, num_bins)
+
+    @pytest.mark.parametrize("bin_index", [True, 1.5, 2.0])
+    def test_decode_bin_index_must_be_an_integer(self, bin_index):
+        with pytest.raises(InvalidCount, match=(
+                f"^bin_index must be an integer, got {bin_index!r}$")):
+            decode_bins(bin_index, 0.0, 0.0, self.spec)
+        assert decode_bins(np.int64(6), 0.0, 0.0, self.spec) == 0.25
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(70)
@@ -232,6 +246,14 @@ class TestBinCrossEntropy:
             bin_cross_entropy(np.zeros((2, 2)), 0)
         with pytest.raises(DimensionMismatch):
             bin_cross_entropy(np.zeros(0), 0)
+
+    @pytest.mark.parametrize("target", [True, 1.5, 2.0])
+    def test_target_bin_must_be_an_integer(self, target):
+        with pytest.raises(InvalidCount, match=(
+                f"^target_bin must be an integer, got {target!r}$")):
+            bin_cross_entropy(np.zeros(4), target)
+        assert bin_cross_entropy(np.zeros(4), np.int64(2)) == pytest.approx(
+            math.log(4))
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_nonfinite_logits_rejected(self, bad):

@@ -21,6 +21,7 @@ from fuse3d import (
     rotate_y,
     scale,
 )
+from fuse3d import sampling
 from fuse3d.sampling import _x_index, _x_window
 from oracles import brute_fps, dense_aad, rowwise_fps
 
@@ -414,7 +415,7 @@ class TestAad:
 
     def test_distances_keep_the_dense_sum_order(self):
         # (dx*dx + dy*dy) + dz*dz, left to right, rounds apart from the
-        # dense formula's (dx*dx + dz*dz) + dy*dy on some of these
+        # library's order, (dx*dx + dz*dz) + dy*dy, on some of these
         # three-nearest distances, so a block summed in another order
         # changes per-point values
         rng = np.random.default_rng(53)
@@ -531,3 +532,28 @@ class TestLambdaSweep:
         lambdas.insert(position, bad)
         with pytest.raises(InvalidCount):
             lambda_sweep(cloud, attention, 256, lambdas)
+
+    @pytest.mark.parametrize("bad", [True, "1.5"])
+    def test_factor_must_be_a_real_number(self, monkeypatch, bad):
+        rng = np.random.default_rng(46)
+        cloud = make_cloud(rng, 50)
+        att = synthetic_attention(rng, 50)
+
+        def no_fps(*args):
+            raise AssertionError("FPS ran before the factors were checked")
+
+        monkeypatch.setattr(sampling, "farthest_point_sampling", no_fps)
+        message = f"oversample factor must be a real number, got {bad!r}"
+        for sweep in (hybrid_sweep, lambda_sweep):
+            with pytest.raises(InvalidCount, match=f"^{re.escape(message)}$"):
+                sweep(cloud, att, 10, [1.2, bad])
+
+    def test_numpy_and_integer_factors_accepted(self):
+        rng = np.random.default_rng(47)
+        cloud = make_cloud(rng, 50)
+        att = synthetic_attention(rng, 50)
+        rows = hybrid_sweep(cloud, att, 10, [np.float32(1.5), np.int64(2), 1])
+        expected = hybrid_sweep(cloud, att, 10, [1.5, 2.0, 1.0])
+        assert [lam for lam, _ in rows] == [1.0, 1.5, 2.0]
+        for (_, got), (_, want) in zip(rows, expected):
+            np.testing.assert_array_equal(got, want)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fuse3d import SyntheticSceneSpec, generate_scene, points_in_box
+from fuse3d import InvalidCount, SyntheticSceneSpec, generate_scene, points_in_box
 
 
 class TestSyntheticScene:
@@ -73,6 +73,20 @@ class TestSyntheticScene:
     def test_count_error_names_the_field_and_value(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be positive, got {value}$"):
             SyntheticSceneSpec(**{field: value})
+
+    @pytest.mark.parametrize("field", ["num_clusters", "points_per_cluster",
+                                       "background_points", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.5, 3.0])
+    def test_integer_fields_must_be_integers(self, field, value):
+        with pytest.raises(InvalidCount,
+                           match=f"^{field} must be an integer, got {value!r}$"):
+            SyntheticSceneSpec(**{field: value})
+
+    def test_numpy_integer_fields_accepted(self):
+        spec = SyntheticSceneSpec(num_clusters=np.int64(2), seed=np.uint32(7))
+        cloud, _, _ = generate_scene(spec)
+        expected, _, _ = generate_scene(SyntheticSceneSpec(num_clusters=2, seed=7))
+        np.testing.assert_array_equal(cloud.coords, expected.coords)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
