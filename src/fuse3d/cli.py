@@ -36,6 +36,7 @@ from .losses import (
     regression_terms,
     total_loss,
 )
+from .numerics import _count
 from .roi import Proposal, roi_pooled_fusion, select_proposals
 from .sampling import aad, hybrid_sweep
 from .scene import SyntheticSceneSpec, generate_scene
@@ -284,9 +285,9 @@ def cmd_gradcheck(args) -> int:
 def cmd_project(args) -> int:
     if (args.image_width is None) != (args.image_height is None):
         raise ValueError("--image-width and --image-height go together")
-    if args.image_width is not None and min(args.image_width,
-                                            args.image_height) < 1:
-        raise ValueError("--image-width and --image-height must be >= 1")
+    if args.image_width is not None:
+        for name in ("image_width", "image_height"):
+            _count(getattr(args, name), name, 1)
     cloud = read_point_cloud_bin(args.cloud)
     us, vs, depth = project_points(cloud.coords, read_calib(args.calib))
     if args.image_width is not None:
@@ -320,10 +321,7 @@ def _jittered_proposals(boxes, per_box: int, rng) -> list[Proposal]:
 
 def cmd_roi_demo(args) -> int:
     cfg = _resolve_run_config(args)
-    if args.proposals_per_box < 1:
-        raise ValueError(
-            f"proposals_per_box must be >= 1, got {args.proposals_per_box}"
-        )
+    _count(args.proposals_per_box, "proposals_per_box", 1)
     cloud, _, boxes = generate_scene(_scene_from_args(args))
     n = len(cloud)
     feat_rng = np.random.default_rng(subsystem_seed(cfg.seed, "params"))

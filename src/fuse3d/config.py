@@ -35,21 +35,17 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a bad value raises ValueError naming its key, and a float or a
-        # bool for an integer key InvalidCount; NaN fails every check
-        for key in ("pre_nms_top", "proposals_keep", "roi_points",
-                    "bin_count_xz", "bin_count_yaw", "seed"):
-            _count(getattr(self, key), key)
+        # a bad value raises ValueError naming its key, and a bad integer
+        # key InvalidCount; NaN fails every check
+        for key, low in (("pre_nms_top", 1), ("proposals_keep", 1),
+                         ("roi_points", 1), ("bin_count_xz", 2),
+                         ("bin_count_yaw", 2), ("seed", 0)):
+            _count(getattr(self, key), key, low)
         if not 0.0 <= self.nms_threshold <= 1.0:
             raise ValueError(
                 f"nms_threshold must be in [0, 1], got {self.nms_threshold}")
-        for key in ("pre_nms_top", "proposals_keep"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 0.0 <= self.enlarge < math.inf:
             raise ValueError(f"enlarge must be finite and >= 0, got {self.enlarge}")
-        if self.roi_points < 1:
-            raise ValueError(f"roi_points must be >= 1, got {self.roi_points}")
         if not 0.0 < self.focal_alpha < 1.0:
             raise ValueError(
                 f"focal_alpha must be in (0, 1), got {self.focal_alpha}")
@@ -61,11 +57,6 @@ class RunConfig:
                 f"bin_half_range must be positive and finite, got "
                 f"{self.bin_half_range}"
             )
-        for key in ("bin_count_xz", "bin_count_yaw"):
-            if getattr(self, key) < 2:
-                raise ValueError(f"{key} must be >= 2, got {getattr(self, key)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def bin_config(self) -> BinConfig:
         return BinConfig(
@@ -116,7 +107,9 @@ def subsystem_seed(global_seed: int, subsystem: str) -> int:
     """Derive the seed for one subsystem from the global seed.
 
     Uses a seed sequence over (global_seed, subsystem index) with the
-    fixed table scene=0, roi=1, params=2, proposals=3.
+    fixed table scene=0, roi=1, params=2, proposals=3. ``global_seed``
+    must be an integer >= 0, else it is an InvalidCount.
     """
+    global_seed = _count(global_seed, "global_seed", 0)
     index = _SUBSYSTEM_INDEX[subsystem]
     return int(np.random.SeedSequence([global_seed, index]).generate_state(1)[0])

@@ -215,7 +215,12 @@ def aaf_backward(
 def init_params(
     c_img: int, c_pt: int, c_prev: int, c_out: int, rng: np.random.Generator
 ) -> AAFParams:
-    """Seeded uniform [-0.1, 0.1] initialization, drawn in ``_WEIGHTS`` order."""
+    """Seeded uniform [-0.1, 0.1] initialization, drawn in ``_WEIGHTS`` order.
+    Channel counts are integers >= 1 (``c_prev`` >= 0), else InvalidCount."""
+    c_img, c_pt, c_prev, c_out = (
+        _count(value, name, low) for value, name, low in (
+            (c_img, "c_img", 1), (c_pt, "c_pt", 1), (c_prev, "c_prev", 0),
+            (c_out, "c_out", 1)))
     shapes = _weight_shapes(c_img + c_pt, c_prev, c_out)
     return AAFParams(c_img, c_pt, **{
         name: rng.uniform(-0.1, 0.1, size=s) for name, s in zip(_WEIGHTS, shapes)
@@ -332,16 +337,13 @@ def run_gradcheck(
 
     Returns a JSON-friendly report with the max relative error per
     group and overall; a NaN error is kept, so the report fails. The
-    seed and the three sizes must be integers (numpy integers too): a
-    float or a bool is an InvalidCount naming the argument.
+    seed must be an integer >= 0 and the three sizes integers >= 1
+    (numpy integers too); anything else is an InvalidCount naming it.
     """
-    seed = _count(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed = _count(seed, "seed", 0)
     for name, value in (("trials", trials), ("max_points", max_points),
                         ("max_channels", max_channels)):
-        if _count(value, name) < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+        _count(value, name, 1)
     rng = np.random.default_rng(seed)
     worst = {group: 0.0 for group in _GRAD_GROUPS}
     for _ in range(trials):

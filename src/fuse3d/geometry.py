@@ -577,14 +577,17 @@ def points_in_box(cloud: PointCloud, box: Box3D) -> np.ndarray:
 
 
 def rotate_y(cloud: PointCloud, angle: float) -> PointCloud:
-    """Rigid rotation of the cloud about the vertical axis."""
+    """Rigid rotation of the cloud about the vertical axis by a finite angle."""
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle must be finite, got {angle}")
     return PointCloud(cloud.coords @ rotation_y(angle).T, cloud.intensity)
 
 
 def scale(cloud: PointCloud, factor: float) -> PointCloud:
-    """Uniformly scale coordinates; intensity untouched."""
-    if factor <= 0:
-        raise ValueError(f"scale factor must be positive, got {factor}")
+    """Uniformly scale coordinates by a positive, finite factor; intensity
+    untouched."""
+    if not 0.0 < factor < math.inf:
+        raise ValueError(f"scale factor must be positive and finite, got {factor}")
     return PointCloud(cloud.coords * float(factor), cloud.intensity)
 
 
@@ -592,7 +595,7 @@ def crop_range(cloud: PointCloud, x_range, y_range, z_range) -> PointCloud:
     """Keep points inside the closed axis-aligned ranges."""
     ranges = []
     for name, rng in (("x", x_range), ("y", y_range), ("z", z_range)):
-        lo, hi = float(rng[0]), float(rng[1])
+        lo, hi = checked_array(rng, f"{name}_range", (2,))
         if not lo < hi:
             raise ValueError(f"{name}_range must satisfy min < max, got {rng}")
         ranges.append((lo, hi))

@@ -37,11 +37,18 @@ def read_point_cloud_bin(path) -> PointCloud:
 
 
 def write_point_cloud_bin(cloud: PointCloud, path) -> None:
-    """Write a cloud in the binary record format (zero intensity if absent)."""
+    """Write a cloud in the binary record format (zero intensity if absent).
+
+    A value too large for float32 is a ValueError, and nothing is written.
+    """
     intensity = (
         cloud.intensity if cloud.intensity is not None else np.zeros(len(cloud))
     )
-    records = np.column_stack([cloud.coords, intensity]).astype("<f4")
+    try:
+        with np.errstate(over="raise"):
+            records = np.column_stack([cloud.coords, intensity]).astype("<f4")
+    except FloatingPointError:
+        raise ValueError(f"{path}: point values must fit in float32") from None
     Path(path).write_bytes(records.tobytes())
 
 

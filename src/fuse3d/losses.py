@@ -78,8 +78,7 @@ class BinSpec:
             raise ValueError(
                 f"half_range must be positive and finite, got {self.half_range}"
             )
-        if _count(self.num_bins, "num_bins") < 2:
-            raise ValueError(f"num_bins must be >= 2, got {self.num_bins}")
+        _count(self.num_bins, "num_bins", 2)
 
     @property
     def width(self) -> float:

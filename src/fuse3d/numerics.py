@@ -41,15 +41,20 @@ def checked_array(value, name: str, shape=None, finite: bool = False) -> np.ndar
     return out
 
 
-def _count(value, name: str) -> int:
-    """``value`` as an int. numpy integers pass; a float, a bool (numpy's
-    refuses ``operator.index`` itself) or any other non-integer is an
-    InvalidCount naming ``name``."""
+def _count(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int of at least ``low``. numpy integers pass; a
+    float, a bool (numpy's refuses ``operator.index`` itself) or any other
+    non-integer is an InvalidCount naming ``name``, and so is an integer
+    below ``low``: "{name} must be >= {low}, got {value}"."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            out = operator.index(value)
         except TypeError:
             pass
+        else:
+            if low is not None and out < low:
+                raise InvalidCount(f"{name} must be >= {low}, got {out}")
+            return out
     raise InvalidCount(f"{name} must be an integer, got {value!r}")
 
 

@@ -58,11 +58,8 @@ def select_proposals(
     equals ``nms(...)[:keep]``. Both caps must be positive integers
     (numpy integers pass; a float or a bool is an InvalidCount).
     """
-    pre_nms_top = _count(pre_nms_top, "pre_nms_top")
-    keep = _count(keep, "keep")
-    for name, value in (("pre_nms_top", pre_nms_top), ("keep", keep)):
-        if value < 1:
-            raise ValueError(f"{name} must be positive, got {value}")
+    pre_nms_top = _count(pre_nms_top, "pre_nms_top", 1)
+    keep = _count(keep, "keep", 1)
     kept = _greedy_nms([p.box for p in proposals], [p.score for p in proposals],
                        nms_threshold, top=pre_nms_top)
     return [proposals[i] for i in islice(kept, keep)]
@@ -88,12 +85,8 @@ def roi_pooled_fusion(
     must be a positive integer and ``seed`` a non-negative one (numpy
     integers pass; a float or a bool is an InvalidCount).
     """
-    n_points = _count(n_points, "n_points")
-    seed = _count(seed, "seed")
-    if n_points < 1:
-        raise ValueError(f"n_points must be positive, got {n_points}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    n_points = _count(n_points, "n_points", 1)
+    seed = _count(seed, "seed", 0)
     f_img, f_pt, f_fused = (
         checked_array(f, name, (len(cloud), "C"))
         for f, name in ((f_img, "f_img"), (f_pt, "f_pt"), (f_fused, "f_fused")))

@@ -32,9 +32,7 @@ class SyntheticSceneSpec:
 
     def __post_init__(self):
         for name in ("num_clusters", "points_per_cluster", "background_points"):
-            value = _count(getattr(self, name), name)
-            if value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
+            _count(getattr(self, name), name, 1)
         # phrased so that NaN, which fails every comparison, is rejected
         for name in ("cluster_radius", "background_extent"):
             value = getattr(self, name)
@@ -45,8 +43,7 @@ class SyntheticSceneSpec:
                 f"attention_contrast must be in [0, 1), got "
                 f"{self.attention_contrast}"
             )
-        if _count(self.seed, "seed") < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _count(self.seed, "seed", 0)
 
 
 def generate_scene(

@@ -59,6 +59,14 @@ class TestGenScene:
         assert flag[2:].replace("-", "_") in err
         assert not out.exists()
 
+    def test_extent_beyond_float32_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "scene"
+        assert main(["gen-scene", "--outdir", str(out),
+                     "--background-extent", "1e39"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "cloud.bin" in err
+        assert list(out.iterdir()) == []
+
 
 class TestSampleStudy:
     def test_csv_schema_and_values(self, tmp_path):

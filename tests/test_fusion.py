@@ -311,8 +311,7 @@ class TestBackward:
             run_gradcheck(**args)
 
     def test_run_gradcheck_rejects_a_negative_seed(self):
-        with pytest.raises(ValueError,
-                           match="^seed must be non-negative, got -1$"):
+        with pytest.raises(InvalidCount, match="^seed must be >= 0, got -1$"):
             run_gradcheck(seed=-1, trials=1)
         report = run_gradcheck(seed=np.int64(1), trials=np.int64(2))
         assert report == run_gradcheck(seed=1, trials=2)
@@ -320,7 +319,8 @@ class TestBackward:
     @pytest.mark.parametrize("name", ["trials", "max_points", "max_channels"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_run_gradcheck_rejects_counts_below_one(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        with pytest.raises(InvalidCount,
+                           match=f"^{name} must be >= 1, got {value}$"):
             run_gradcheck(seed=1, **{name: value})
 
 

@@ -1037,6 +1037,16 @@ class TestAugmentations:
         with pytest.raises(ValueError):
             scale(PointCloud(np.zeros((1, 3))), 0.0)
 
+    @pytest.mark.parametrize("factor", [np.nan, np.inf, -np.inf])
+    def test_scale_rejects_a_nonfinite_factor(self, factor):
+        with pytest.raises(ValueError, match="^scale factor must be positive and finite"):
+            scale(PointCloud(np.ones((1, 3))), factor)
+
+    @pytest.mark.parametrize("angle", [np.nan, np.inf])
+    def test_rotate_rejects_a_nonfinite_angle(self, angle):
+        with pytest.raises(ValueError, match="^rotation angle must be finite"):
+            rotate_y(PointCloud(np.ones((1, 3))), angle)
+
 
 class TestCropRange:
     def test_all_inside_is_identity(self):
@@ -1065,3 +1075,9 @@ class TestCropRange:
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             crop_range(PointCloud(np.zeros((1, 3))), (1, 1), (0, 1), (0, 1))
+
+    @pytest.mark.parametrize("y_range", [(-9, 9, 100), (-9,), 5.0])
+    def test_range_must_be_two_numbers(self, y_range):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^y_range must have shape \(2,\)"):
+            crop_range(PointCloud(np.zeros((1, 3))), (-1, 1), y_range, (-1, 1))

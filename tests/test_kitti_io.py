@@ -73,6 +73,15 @@ class TestPointCloudBin:
         back = read_point_cloud_bin(path)
         np.testing.assert_array_equal(back.intensity, [0.0])
 
+    @pytest.mark.parametrize("coords, intensity", [
+        ([[1.0, 1e39, 3.0]], None), ([[1.0, 2.0, 3.0]], [-4e38])])
+    def test_value_beyond_float32_rejected_before_writing(self, tmp_path,
+                                                          coords, intensity):
+        path = tmp_path / "c.bin"
+        with pytest.raises(ValueError, match="c.bin: point values must fit in float32"):
+            write_point_cloud_bin(PointCloud(np.array(coords), intensity), path)
+        assert not path.exists()
+
 
 class TestCalib:
     def test_identity_composition(self, tmp_path):

@@ -1,7 +1,23 @@
 import numpy as np
 import pytest
 
-from fuse3d import DimensionMismatch, PointCloud, finite_diff_grad, sigmoid
+from fuse3d import (
+    BinSpec,
+    Box3D,
+    DimensionMismatch,
+    InvalidCount,
+    PointCloud,
+    Proposal,
+    RunConfig,
+    SyntheticSceneSpec,
+    finite_diff_grad,
+    init_params,
+    roi_pooled_fusion,
+    run_gradcheck,
+    select_proposals,
+    sigmoid,
+    subsystem_seed,
+)
 from fuse3d.numerics import checked_array
 
 from oracles import scalar_finite_diff_grad
@@ -177,3 +193,60 @@ class TestCheckedArray:
         assert checked_array(value, "scores") is value
         with pytest.raises(ValueError, match="scores must be finite"):
             checked_array(value, "scores", finite=True)
+
+
+def _pool(**kwargs):
+    zeros = np.zeros((3, 1))
+    box = Box3D(np.zeros(3), 1.0, 1.0, 1.0, 0.0)
+    return roi_pooled_fusion(Proposal(box, 0.5), PointCloud(np.zeros((3, 3))),
+                             zeros, zeros, zeros, **kwargs)
+
+
+def _init(name, value):
+    sizes = {"c_img": 1, "c_pt": 1, "c_prev": 1, "c_out": 1, name: value}
+    return init_params(**sizes, rng=np.random.default_rng(0))
+
+
+# Every public integer argument or RunConfig key with a lower bound:
+# (owner, name, bound, call with that one value changed).
+_INTEGER_ARGUMENTS = [
+    *(("RunConfig", key, low, lambda v, key=key: RunConfig(**{key: v}))
+      for key, low in (("pre_nms_top", 1), ("proposals_keep", 1),
+                       ("roi_points", 1), ("bin_count_xz", 2),
+                       ("bin_count_yaw", 2), ("seed", 0))),
+    *(("SyntheticSceneSpec", key, low,
+       lambda v, key=key: SyntheticSceneSpec(**{key: v}))
+      for key, low in (("num_clusters", 1), ("points_per_cluster", 1),
+                       ("background_points", 1), ("seed", 0))),
+    *(("select_proposals", key, 1,
+       lambda v, key=key: select_proposals([], **{key: v}))
+      for key in ("pre_nms_top", "keep")),
+    ("roi_pooled_fusion", "n_points", 1, lambda v: _pool(n_points=v)),
+    ("roi_pooled_fusion", "seed", 0, lambda v: _pool(seed=v)),
+    ("run_gradcheck", "seed", 0, lambda v: run_gradcheck(seed=v, trials=1)),
+    *(("run_gradcheck", key, 1,
+       lambda v, key=key: run_gradcheck(seed=0, **{key: v}))
+      for key in ("trials", "max_points", "max_channels")),
+    ("BinSpec", "num_bins", 2, lambda v: BinSpec(1.0, v)),
+    *(("init_params", key, low, lambda v, key=key: _init(key, v))
+      for key, low in (("c_img", 1), ("c_pt", 1), ("c_prev", 0), ("c_out", 1))),
+    ("subsystem_seed", "global_seed", 0, lambda v: subsystem_seed(v, "roi")),
+]
+
+
+@pytest.mark.parametrize("owner, name, low, call", _INTEGER_ARGUMENTS,
+                         ids=[f"{row[0]}.{row[1]}" for row in _INTEGER_ARGUMENTS])
+class TestIntegerArguments:
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_non_integer_is_invalid_count(self, owner, name, low, call, value):
+        with pytest.raises(InvalidCount,
+                           match=f"^{name} must be an integer, got {value!r}$"):
+            call(value)
+
+    def test_below_bound_is_invalid_count(self, owner, name, low, call):
+        with pytest.raises(InvalidCount,
+                           match=f"^{name} must be >= {low}, got {low - 1}$"):
+            call(low - 1)
+
+    def test_bound_itself_passes(self, owner, name, low, call):
+        call(np.int64(low))

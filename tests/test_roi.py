@@ -76,18 +76,18 @@ class TestSelectProposals:
     @pytest.mark.parametrize("caps", [{"pre_nms_top": 0}, {"keep": 0},
                                       {"keep": -4}])
     def test_caps_below_one_rejected(self, caps):
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(InvalidCount, match="must be >= 1, got"):
             select_proposals([proposal()], **caps)
 
     @pytest.mark.parametrize("name", ["pre_nms_top", "keep"])
     @pytest.mark.parametrize("value", [0, -4])
     def test_cap_error_names_the_argument_and_value(self, name, value):
-        message = f"^{name} must be positive, got {value}$"
-        with pytest.raises(ValueError, match=message):
+        message = f"^{name} must be >= 1, got {value}$"
+        with pytest.raises(InvalidCount, match=message):
             select_proposals([proposal()], **{name: value})
 
     def test_both_caps_bad_reports_pre_nms_top(self):
-        with pytest.raises(ValueError, match="^pre_nms_top must be positive, got 0$"):
+        with pytest.raises(InvalidCount, match="^pre_nms_top must be >= 1, got 0$"):
             select_proposals([proposal()], pre_nms_top=0, keep=0)
 
     @pytest.mark.parametrize("name", ["pre_nms_top", "keep"])
@@ -310,7 +310,8 @@ class TestRoiPooledFusion:
     def test_point_budget_below_one_rejected(self, n_points):
         cloud = PointCloud(np.zeros((3, 3)))
         f_img, f_pt, f_fused = feature_set(np.random.default_rng(88), 3)
-        with pytest.raises(ValueError, match="n_points must be positive"):
+        with pytest.raises(InvalidCount,
+                           match=f"^n_points must be >= 1, got {n_points}$"):
             roi_pooled_fusion(proposal(), cloud, f_img, f_pt, f_fused,
                               n_points=n_points)
 
@@ -328,7 +329,7 @@ class TestRoiPooledFusion:
     def test_negative_seed_rejected(self, seed):
         cloud = PointCloud(np.zeros((3, 3)))
         f_img, f_pt, f_fused = feature_set(np.random.default_rng(90), 3)
-        with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
+        with pytest.raises(InvalidCount, match=f"^seed must be >= 0, got {seed}$"):
             roi_pooled_fusion(proposal(), cloud, f_img, f_pt, f_fused, seed=seed)
 
     def test_numpy_integer_budget_and_seed_accepted(self):

@@ -71,7 +71,7 @@ class TestSyntheticScene:
                                        "background_points"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_count_error_names_the_field_and_value(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be positive, got {value}$"):
+        with pytest.raises(InvalidCount, match=f"^{field} must be >= 1, got {value}$"):
             SyntheticSceneSpec(**{field: value})
 
     @pytest.mark.parametrize("field", ["num_clusters", "points_per_cluster",
