@@ -27,7 +27,7 @@ from .config import RunConfig, load_config, subsystem_seed
 from .errors import ParseError
 from .fusion import AAFInput, aaf_forward, init_params, run_gradcheck
 from .geometry import Box3D, in_image_bounds, iou_bev, project_points
-from .kitti_io import read_calib, read_point_cloud_bin, write_point_cloud_bin
+from .kitti_io import _point_records, read_calib, read_point_cloud_bin
 from .losses import (
     FocalConfig,
     RegressionPrediction,
@@ -36,7 +36,7 @@ from .losses import (
     regression_terms,
     total_loss,
 )
-from .numerics import _count
+from .numerics import _count, _real
 from .roi import Proposal, roi_pooled_fusion, select_proposals
 from .sampling import aad, hybrid_sweep
 from .scene import SyntheticSceneSpec, generate_scene
@@ -206,8 +206,10 @@ def cmd_gen_scene(args) -> int:
     spec = _scene_from_args(args)
     cloud, attention, boxes = generate_scene(spec)
     outdir = Path(args.outdir)
+    # encoded first, so a cloud beyond float32 leaves no directory behind
+    records = _point_records(cloud, outdir / "cloud.bin")
     outdir.mkdir(parents=True, exist_ok=True)
-    write_point_cloud_bin(cloud, outdir / "cloud.bin")
+    (outdir / "cloud.bin").write_bytes(records)
     _write_text(
         str(outdir / "attention.csv"),
         _csv_text(["index", "score"],
@@ -265,10 +267,7 @@ def cmd_sample_study(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _resolve_run_config(args)
-    if not 0.0 < args.tolerance < math.inf:
-        raise ValueError(
-            f"tolerance must be positive and finite, got {args.tolerance}"
-        )
+    tolerance = _real(args.tolerance, "tolerance", 0.0, interval="(0, inf)")
     report = run_gradcheck(
         seed=subsystem_seed(cfg.seed, "params"),
         trials=args.trials,
@@ -276,8 +275,8 @@ def cmd_gradcheck(args) -> int:
         max_channels=args.max_channels,
         eps=args.eps,
     )
-    report["tolerance"] = args.tolerance
-    report["pass"] = bool(report["max_relative_error"] < args.tolerance)
+    report["tolerance"] = tolerance
+    report["pass"] = bool(report["max_relative_error"] < tolerance)
     _write_text(args.out, _json_text(report))
     return 0
 
@@ -413,7 +412,7 @@ def _evaluate_losses(fixture: dict, cfg: RunConfig) -> dict:
     target = encode_box_target(gt_box, anchor_box, bin_cfg)
     pred = RegressionPrediction(fixture["logits_x"], fixture["logits_z"],
                                 fixture["logits_yaw"], fixture["pred_residuals"])
-    focal = focal_loss(float(fixture["focal_c_t"]), focal_cfg)
+    focal = focal_loss(fixture["focal_c_t"], focal_cfg)
     terms = regression_terms(pred, target, pred_box, gt_box, bin_cfg)
     report = {
         "focal": focal,
@@ -427,7 +426,7 @@ def _evaluate_losses(fixture: dict, cfg: RunConfig) -> dict:
     }
     if "stages" in fixture:
         stages = fixture["stages"]
-        values = [float(stages[key]) for key in _STAGE_KEYS]
+        values = [stages[key] for key in _STAGE_KEYS]
         for key in stages:
             if key not in _STAGE_KEYS:
                 raise ValueError(f"stages key {key!r} is not read")

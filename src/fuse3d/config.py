@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParseError
 from .losses import BinConfig, BinSpec
-from .numerics import _count
+from .numerics import _count, _real
 
 
 @dataclass(frozen=True)
@@ -35,28 +35,19 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a bad value raises ValueError naming its key, and a bad integer
-        # key InvalidCount; NaN fails every check
+        # a bad value raises InvalidCount (integer keys) or DomainError
+        # (real keys) naming its key
         for key, low in (("pre_nms_top", 1), ("proposals_keep", 1),
                          ("roi_points", 1), ("bin_count_xz", 2),
                          ("bin_count_yaw", 2), ("seed", 0)):
             _count(getattr(self, key), key, low)
-        if not 0.0 <= self.nms_threshold <= 1.0:
-            raise ValueError(
-                f"nms_threshold must be in [0, 1], got {self.nms_threshold}")
-        if not 0.0 <= self.enlarge < math.inf:
-            raise ValueError(f"enlarge must be finite and >= 0, got {self.enlarge}")
-        if not 0.0 < self.focal_alpha < 1.0:
-            raise ValueError(
-                f"focal_alpha must be in (0, 1), got {self.focal_alpha}")
-        if not 0.0 <= self.focal_gamma < math.inf:
-            raise ValueError(
-                f"focal_gamma must be finite and >= 0, got {self.focal_gamma}")
-        if not 0.0 < self.bin_half_range < math.inf:
-            raise ValueError(
-                f"bin_half_range must be positive and finite, got "
-                f"{self.bin_half_range}"
-            )
+        for key, low, high, interval in (
+                ("nms_threshold", 0.0, 1.0, "[0, 1]"),
+                ("enlarge", 0.0, math.inf, "[0, inf)"),
+                ("focal_alpha", 0.0, 1.0, "(0, 1)"),
+                ("focal_gamma", 0.0, math.inf, "[0, inf)"),
+                ("bin_half_range", 0.0, math.inf, "(0, inf)")):
+            _real(getattr(self, key), key, low, high, interval)
 
     def bin_config(self) -> BinConfig:
         return BinConfig(

@@ -14,7 +14,9 @@ class DimensionMismatch(Fuse3DError, ValueError):
 
 
 class InvalidCount(Fuse3DError, ValueError):
-    """A requested sample count or factor is outside the valid range."""
+    """A count is not an integer or below its bound, or a sample count or
+    oversample factor lies outside its range; a factor that is not a
+    finite real number is a DomainError."""
 
 
 class TooFewPoints(Fuse3DError, ValueError):
@@ -22,7 +24,7 @@ class TooFewPoints(Fuse3DError, ValueError):
 
 
 class DomainError(Fuse3DError, ValueError):
-    """A scalar argument lies outside the mathematical domain."""
+    """A scalar real argument is not a finite real number in its interval."""
 
 
 class OutOfRange(Fuse3DError, ValueError):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, TruncatedFile
+from .errors import DimensionMismatch, InvalidCount, ParseError, TruncatedFile
 from .numerics import _count, checked_array, finite_diff_grad, sigmoid
 
 # A block's weight arrays in draw, file and gradient order.
@@ -52,6 +52,8 @@ class AAFParams:
     b_out: np.ndarray      # (c_out,)
 
     def __post_init__(self):
+        self.c_img = _count(self.c_img, "c_img", 1)
+        self.c_pt = _count(self.c_pt, "c_pt", 1)
         # c_prev and c_out are read off w_out, so it is converted and its
         # rank and rows checked first; that fixes its whole shape
         self.w_out = checked_array(self.w_out, "w_out")
@@ -266,9 +268,12 @@ def load_params(path) -> AAFParams:
     # one copy, so every array is writable rather than a view of ``data``
     flat = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).copy()
     parts = np.split(flat, np.cumsum(counts)[:-1])
-    return AAFParams(c_img, c_pt, **{
-        name: part.reshape(s) for name, part, s in zip(_WEIGHTS, parts, shapes)
-    })
+    try:
+        return AAFParams(c_img, c_pt, **{
+            name: part.reshape(s) for name, part, s in zip(_WEIGHTS, parts, shapes)
+        })
+    except InvalidCount as exc:  # a zero channel count in the header
+        raise ParseError(f"{path}: {exc}") from None
 
 
 _REL_ERR_FLOOR = 1e-4

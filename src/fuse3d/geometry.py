@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .numerics import checked_array, fold
+from .numerics import _real, checked_array, fold
 
 # An overlap at most this share of the smaller footprint counts as
 # zero: clipping touching pairs (shared edges and corners) leaves
@@ -42,11 +41,8 @@ _KERNEL_ROWS = 1024
 
 
 def wrap_angle(theta: float) -> float:
-    """Wrap an angle into [-pi, pi); a non-finite angle is a DomainError."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise DomainError(f"cannot wrap a non-finite angle: {theta}")
-    return fold(theta, np.pi)
+    """Wrap a finite angle into [-pi, pi)."""
+    return fold(_real(theta, "theta"), np.pi)
 
 
 def rotation_y(yaw: float) -> np.ndarray:
@@ -81,7 +77,7 @@ class PointCloud:
 class Box3D:
     """Oriented 3D box: center, sizes (length, height, width), yaw.
 
-    Sizes must be positive and finite and the yaw finite; the yaw is
+    Sizes lie in (0, inf) and the yaw is finite; the yaw is
     normalized to [-pi, pi) at construction. A box with yaw
     shifted by pi and length/width swapped describes the same cuboid;
     the overlap operations treat the two forms identically.
@@ -94,18 +90,11 @@ class Box3D:
     yaw: float
 
     def __post_init__(self):
-        center = checked_array(self.center, "box center", (3,), finite=True)
-        self.length = float(self.length)
-        self.height = float(self.height)
-        self.width = float(self.width)
-        sizes = (self.length, self.height, self.width)
-        if not all(0.0 < s < np.inf for s in sizes):
-            raise ValueError("box sizes must be positive and finite")
-        yaw = float(self.yaw)
-        if not math.isfinite(yaw):
-            raise ValueError("box yaw must be finite")
-        self.center = center
-        self.yaw = wrap_angle(yaw)
+        self.center = checked_array(self.center, "box center", (3,), finite=True)
+        self.length = _real(self.length, "length", 0.0, interval="(0, inf)")
+        self.height = _real(self.height, "height", 0.0, interval="(0, inf)")
+        self.width = _real(self.width, "width", 0.0, interval="(0, inf)")
+        self.yaw = fold(_real(self.yaw, "yaw"), np.pi)
 
     @property
     def volume(self) -> float:
@@ -485,8 +474,7 @@ def _greedy_nms(boxes, scores, iou_threshold: float, top=None):
     are those of greedy NMS testing one kept box at a time.
     """
     scores = checked_array(scores, "scores", (len(boxes),), finite=True)
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in [0, 1], got {iou_threshold}")
+    iou_threshold = _real(iou_threshold, "iou_threshold", 0.0, 1.0, "[0, 1]")
     order = np.argsort(-scores, kind="stable")[:top]
     rows, corners = _footprints([boxes[i] for i in order])
     cols = np.ascontiguousarray(rows.T)
@@ -538,8 +526,7 @@ def nms(boxes, scores, iou_threshold: float) -> list[int]:
 
 def enlarge_box(box: Box3D, amount: float) -> Box3D:
     """Grow every size dimension by ``amount``; center and yaw unchanged."""
-    if not 0.0 <= amount < math.inf:
-        raise ValueError(f"enlargement must be finite and >= 0, got {amount}")
+    amount = _real(amount, "amount", 0.0, interval="[0, inf)")
     return Box3D(
         box.center.copy(),
         box.length + amount,
@@ -578,17 +565,14 @@ def points_in_box(cloud: PointCloud, box: Box3D) -> np.ndarray:
 
 def rotate_y(cloud: PointCloud, angle: float) -> PointCloud:
     """Rigid rotation of the cloud about the vertical axis by a finite angle."""
-    if not math.isfinite(angle):
-        raise ValueError(f"rotation angle must be finite, got {angle}")
-    return PointCloud(cloud.coords @ rotation_y(angle).T, cloud.intensity)
+    return PointCloud(cloud.coords @ rotation_y(_real(angle, "angle")).T,
+                      cloud.intensity)
 
 
 def scale(cloud: PointCloud, factor: float) -> PointCloud:
-    """Uniformly scale coordinates by a positive, finite factor; intensity
-    untouched."""
-    if not 0.0 < factor < math.inf:
-        raise ValueError(f"scale factor must be positive and finite, got {factor}")
-    return PointCloud(cloud.coords * float(factor), cloud.intensity)
+    """Uniformly scale coordinates by a factor in (0, inf); intensity untouched."""
+    factor = _real(factor, "factor", 0.0, interval="(0, inf)")
+    return PointCloud(cloud.coords * factor, cloud.intensity)
 
 
 def crop_range(cloud: PointCloud, x_range, y_range, z_range) -> PointCloud:

@@ -36,11 +36,8 @@ def read_point_cloud_bin(path) -> PointCloud:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def write_point_cloud_bin(cloud: PointCloud, path) -> None:
-    """Write a cloud in the binary record format (zero intensity if absent).
-
-    A value too large for float32 is a ValueError, and nothing is written.
-    """
+def _point_records(cloud: PointCloud, path) -> bytes:
+    """The bytes :func:`write_point_cloud_bin` writes to ``path``."""
     intensity = (
         cloud.intensity if cloud.intensity is not None else np.zeros(len(cloud))
     )
@@ -49,7 +46,15 @@ def write_point_cloud_bin(cloud: PointCloud, path) -> None:
             records = np.column_stack([cloud.coords, intensity]).astype("<f4")
     except FloatingPointError:
         raise ValueError(f"{path}: point values must fit in float32") from None
-    Path(path).write_bytes(records.tobytes())
+    return records.tobytes()
+
+
+def write_point_cloud_bin(cloud: PointCloud, path) -> None:
+    """Write a cloud in the binary record format (zero intensity if absent).
+
+    A value too large for float32 is a ValueError, and nothing is written.
+    """
+    Path(path).write_bytes(_point_records(cloud, path))
 
 
 _CALIB_KEYS = {"P2": 12, "R0_rect": 9, "Tr_velo_to_cam": 12}

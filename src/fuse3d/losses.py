@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, OutOfRange
 from .geometry import Box3D, iou_bev
-from .numerics import _count, checked_array, fold
+from .numerics import _count, _real, checked_array, fold
 
 _PROB_FLOOR = 1e-12
 _IOU_FLOOR = 1e-6
@@ -32,10 +32,8 @@ class FocalConfig:
     gamma: float = 2.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not 0.0 <= self.gamma < math.inf:
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        _real(self.alpha, "alpha", 0.0, 1.0, "(0, 1)")
+        _real(self.gamma, "gamma", 0.0, interval="[0, inf)")
 
 
 def focal_loss(c_t: float, cfg: FocalConfig = FocalConfig()) -> float:
@@ -45,19 +43,15 @@ def focal_loss(c_t: float, cfg: FocalConfig = FocalConfig()) -> float:
     in (0, 1] and is floored at 1e-12 before the log so the loss stays
     finite.
     """
-    if not 0.0 < c_t <= 1.0:
-        raise DomainError(f"c_t must be in (0, 1], got {c_t}")
+    c_t = _real(c_t, "c_t", 0.0, 1.0, "(0, 1]")
     return float(-cfg.alpha * (1.0 - c_t) ** cfg.gamma
                  * math.log(max(c_t, _PROB_FLOOR)))
 
 
 def smooth_l1(pred: float, target: float) -> float:
     """Quadratic near zero, linear past |pred - target| = 1."""
-    # phrased so that NaN, which fails every comparison, is rejected
-    if not (abs(pred) < math.inf and abs(target) < math.inf):
-        raise DomainError(f"smooth_l1 needs finite arguments, got {pred}, {target}")
-    d = abs(pred - target)
-    return float(0.5 * d * d if d < 1.0 else d - 0.5)
+    d = abs(_real(pred, "pred") - _real(target, "target"))
+    return 0.5 * d * d if d < 1.0 else d - 0.5
 
 
 @dataclass(frozen=True)
@@ -74,10 +68,7 @@ class BinSpec:
     wrap: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.half_range < math.inf:
-            raise ValueError(
-                f"half_range must be positive and finite, got {self.half_range}"
-            )
+        _real(self.half_range, "half_range", 0.0, interval="(0, inf)")
         _count(self.num_bins, "num_bins", 2)
 
     @property
@@ -105,7 +96,7 @@ def encode_bins(value: float, anchor: float, spec: BinSpec) -> tuple[int, float]
     OutOfRange
         When a non-wrapping offset leaves [-half_range, half_range).
     """
-    offset = float(value) - float(anchor)
+    offset = _real(value, "value") - _real(anchor, "anchor")
     r = spec.half_range
     if spec.wrap:
         offset = fold(offset, r)
@@ -129,8 +120,9 @@ def decode_bins(
     bin_index = _count(bin_index, "bin_index")
     if not 0 <= bin_index < spec.num_bins:
         raise OutOfRange(f"bin {bin_index} outside [0, {spec.num_bins})")
+    residual, anchor = _real(residual, "residual"), _real(anchor, "anchor")
     r = spec.half_range
-    value = float(anchor - r + (bin_index + 0.5 + residual) * spec.width)
+    value = anchor - r + (bin_index + 0.5 + residual) * spec.width
     if not spec.wrap and -0.5 - bin_index <= residual < spec.num_bins - bin_index - 0.5:
         # rounding can land on or past an edge; step back inside
         while value - anchor >= r:
@@ -276,6 +268,9 @@ def regression_loss(
     return regression_terms(pred, target, pred_box, gt_box, cfg).total
 
 
+_TERM_NAMES = ("rpn_cls", "rpn_reg", "rcnn_cls", "rcnn_reg")
+
+
 def total_loss(
     rpn_cls: float, rpn_reg: float, rcnn_cls: float, rcnn_reg: float
 ) -> float:
@@ -284,10 +279,8 @@ def total_loss(
     Raises DomainError when a term is not finite or the sum overflows.
     """
     terms = (rpn_cls, rpn_reg, rcnn_cls, rcnn_reg)
-    if not all(math.isfinite(t) for t in terms):
-        raise DomainError(f"total_loss needs finite terms, got {terms}")
     # Python floats overflow to inf without a numpy warning
-    a, b, c, d = map(float, terms)
+    a, b, c, d = (_real(t, name) for t, name in zip(terms, _TERM_NAMES))
     total = a + b + c + d
     if not math.isfinite(total):
         raise DomainError(f"total_loss overflows: the sum of {terms} is {total}")

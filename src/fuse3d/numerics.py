@@ -2,18 +2,21 @@
 
 All functions accept array-likes and compute in 64-bit floats. The
 kernels return new arrays; the input check ``checked_array`` returns a
-float64 array argument itself, and ``_count`` an integer argument as an
-int. Nothing is mutated in place and there is no global state.
+float64 array argument itself, ``_count`` an integer argument as an
+int and ``_real`` a scalar real argument as a float. Nothing is
+mutated in place and there is no global state.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidCount
+from .errors import DimensionMismatch, DomainError, InvalidCount
 
 # Clamp bounds keeping sigmoid outputs strictly inside (0, 1): without
 # them float64 rounds to exactly 0.0 / 1.0 once |x| exceeds ~36.
@@ -56,6 +59,30 @@ def _count(value, name: str, low: int | None = None) -> int:
                 raise InvalidCount(f"{name} must be >= {low}, got {out}")
             return out
     raise InvalidCount(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value, name: str, low: float = -math.inf, high: float = math.inf,
+          interval: str = "(-inf, inf)") -> float:
+    """``value`` as a float in ``interval``, the interval from ``low`` to
+    ``high`` written out: a bracket closes its end, a parenthesis opens
+    it. Python and numpy floats and integers pass; a bool (numpy's is no
+    ``numbers.Real``) or any other non-real is a DomainError "{name} must
+    be a real number, got {value!r}", and NaN, an infinity or a value
+    outside the interval is one "{name} must be finite and in
+    {interval}, got {value!r}"."""
+    # a float skips the slower abstract-class test
+    if isinstance(value, float) or (
+            not isinstance(value, bool) and isinstance(value, numbers.Real)):
+        try:
+            out = float(value)
+        except OverflowError:  # an integer beyond the float range
+            out = math.inf
+        # NaN fails every comparison, and an infinite end is always open
+        if low < out < high or (out == low and interval[0] == "[") or (
+                out == high and interval[-1] == "]"):
+            return out
+        raise DomainError(f"{name} must be finite and in {interval}, got {value!r}")
+    raise DomainError(f"{name} must be a real number, got {value!r}")
 
 
 def fold(value: float, half_range: float) -> float:
@@ -106,14 +133,13 @@ def finite_diff_grad(
     x : array
         Point at which to differentiate.
     eps : float
-        Perturbation size; must be finite and positive.
+        Perturbation size, in (0, inf).
 
     Returns
     -------
     ndarray of ``x``'s shape holding (f(x + eps e) - f(x - eps e)) / 2 eps.
     """
-    if not (0.0 < eps < np.inf):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
+    eps = _real(eps, "eps", 0.0, interval="(0, inf)")
     x = np.array(x, dtype=np.float64)
     flat = x.reshape(-1)
     grad = np.empty_like(flat)

@@ -14,7 +14,7 @@ from itertools import islice
 import numpy as np
 
 from .geometry import Box3D, PointCloud, _greedy_nms, enlarge_box, points_in_box
-from .numerics import _count, checked_array
+from .numerics import _count, _real, checked_array
 
 
 @dataclass
@@ -25,9 +25,7 @@ class Proposal:
     score: float
 
     def __post_init__(self):
-        self.score = float(self.score)
-        if not np.isfinite(self.score):
-            raise ValueError("proposal score must be finite")
+        self.score = _real(self.score, "score")
 
 
 @dataclass

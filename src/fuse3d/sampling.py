@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidCount, TooFewPoints
 from .geometry import PointCloud, _x_pad, _x_reach
-from .numerics import _count, checked_array
+from .numerics import _count, _real, checked_array
 
 
 @dataclass(frozen=True)
@@ -145,9 +144,9 @@ def hybrid_sweep(
 ) -> list[tuple[float, np.ndarray]]:
     """The hybrid sample at several oversample factors from one FPS run.
 
-    Every factor is validated before any sampling runs: a bool or
-    anything that is not a real number (a string, say) is an
-    InvalidCount, as is a factor outside [1, N/n]. FPS then runs
+    Every factor is validated before any sampling runs: a bool, any
+    other non-real (a string, say) or a non-finite factor is a
+    DomainError, and a factor outside [1, N/n] an InvalidCount. FPS then runs
     once, for the largest candidate count; each factor ranks a prefix
     of that run, which is exactly the FPS its own ``hybrid_sample``
     would draw (see ``farthest_point_sampling``).
@@ -168,11 +167,7 @@ def hybrid_sweep(
         raise InvalidCount(f"cannot sample {n} of {total} points")
     lams = []
     for lam in lambdas:
-        # bool is an int subclass; numpy's bool is not a numbers.Real
-        if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
-            raise InvalidCount(
-                f"oversample factor must be a real number, got {lam!r}")
-        lam = float(lam)
+        lam = _real(lam, "oversample factor")
         if not 1.0 <= lam or lam * n > total * (1.0 + 1e-12):
             raise InvalidCount(
                 f"oversample factor {lam} outside [1, {total}/{n}]"

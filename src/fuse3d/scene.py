@@ -8,13 +8,12 @@ deterministic per seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Box3D, PointCloud, rotation_y
-from .numerics import _count
+from .numerics import _count, _real
 
 
 @dataclass(frozen=True)
@@ -33,16 +32,9 @@ class SyntheticSceneSpec:
     def __post_init__(self):
         for name in ("num_clusters", "points_per_cluster", "background_points"):
             _count(getattr(self, name), name, 1)
-        # phrased so that NaN, which fails every comparison, is rejected
         for name in ("cluster_radius", "background_extent"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not 0.0 <= self.attention_contrast < 1.0:
-            raise ValueError(
-                f"attention_contrast must be in [0, 1), got "
-                f"{self.attention_contrast}"
-            )
+            _real(getattr(self, name), name, 0.0, interval="(0, inf)")
+        _real(self.attention_contrast, "attention_contrast", 0.0, 1.0, "[0, 1)")
         _count(self.seed, "seed", 0)
 
 

@@ -65,6 +65,14 @@ class TestGenScene:
                      "--background-extent", "1e39"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "cloud.bin" in err
+        assert not out.exists()
+
+    def test_extent_beyond_float32_writes_nothing_to_an_existing_dir(
+            self, tmp_path):
+        out = tmp_path / "scene"
+        out.mkdir()
+        assert main(["gen-scene", "--outdir", str(out),
+                     "--background-extent", "1e39"]) == 1
         assert list(out.iterdir()) == []
 
 
@@ -596,6 +604,31 @@ class TestLossEval:
         assert main(["loss-eval", "--fixture", str(fixture)]) == 2
         assert capsys.readouterr().err == (
             f"data error: {fixture}: expected a JSON object\n")
+
+    @pytest.mark.parametrize("key, index, value, name", [
+        ("pred_box", "length", True, "length"),
+        ("pred_box", "height", "1.5", "height"),
+        ("pred_box", "yaw", False, "yaw"),
+        ("focal_c_t", None, True, "c_t"),
+        ("stages", "rpn_cls", True, "rpn_cls"),
+    ], ids=["bool-size", "string-size", "bool-yaw", "bool-probability",
+            "bool-stage"])
+    def test_non_real_fixture_value_is_data_error(self, tmp_path, capsys,
+                                                  key, index, value, name):
+        payload = self.fixture_payload()
+        if index is None:
+            payload[key] = value
+        else:
+            payload[key] = dict(payload[key], **{index: value})
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(payload))
+        out = tmp_path / "losses.json"
+        assert main(["loss-eval", "--fixture", str(fixture),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {fixture}:")
+        assert f"{name} must be a real number, got {value!r}" in err
+        assert not out.exists()
 
     def test_bad_probability_is_data_error(self, tmp_path):
         payload = self.fixture_payload()

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -9,6 +10,7 @@ from fuse3d import (
     AAFInput,
     AAFParams,
     DimensionMismatch,
+    DomainError,
     InvalidCount,
     ParseError,
     TruncatedFile,
@@ -186,6 +188,22 @@ class TestForward:
             with pytest.raises(DimensionMismatch):
                 replace(good, **{name: bad})
 
+    @pytest.mark.parametrize("name", ["c_img", "c_pt"])
+    @pytest.mark.parametrize("value, message", [
+        (-1, "must be >= 1, got -1"),
+        (1.5, "must be an integer, got 1.5"),
+        (True, "must be an integer, got True"),
+    ], ids=["negative", "fraction", "bool"])
+    def test_params_channel_counts_checked(self, name, value, message):
+        with pytest.raises(InvalidCount, match=f"^{name} {message}$"):
+            replace(zero_params(1, 1, 1, 1), **{name: value})
+
+    def test_negative_image_count_with_matching_shapes_rejected(self):
+        # c_prev is read off w_out, so these shapes fit c_img = -1, c_pt = 1
+        with pytest.raises(InvalidCount, match="^c_img must be >= 1, got -1$"):
+            AAFParams(-1, 1, np.zeros((0, 1)), np.zeros(1), np.zeros((0, 1)),
+                      np.zeros(1), np.zeros((2, 1)), np.zeros(1))
+
     def test_feature_arrays_must_be_2d(self):
         for shapes in (((3,), (3, 2), (3, 1)),
                        ((3, 2), (3, 2, 1), (3, 1)),
@@ -298,7 +316,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-5, 0.0])
     def test_run_gradcheck_rejects_bad_eps(self, eps):
-        with pytest.raises(ValueError, match="eps must be finite and positive"):
+        with pytest.raises(DomainError, match=r"^eps must be finite and in \(0, inf\)"):
             run_gradcheck(seed=1, trials=2, eps=eps)
 
     @pytest.mark.parametrize("name", ["seed", "trials", "max_points",
@@ -400,6 +418,18 @@ class TestSerialization:
         path.write_bytes(header + b"\x00" * 64)
         with pytest.raises(ParseError):
             load_params(path)
+
+    @pytest.mark.parametrize("header, name", [
+        ([0, 1, 0, 1, 1], "c_img"), ([1, 0, 0, 1, 1], "c_pt")])
+    def test_zero_channel_count_in_header_is_parse_error(self, tmp_path,
+                                                         header, name):
+        path = tmp_path / "params.bin"
+        # one concatenated channel: six weight arrays of one entry each
+        path.write_bytes(np.array(header, dtype="<u4").tobytes() + b"\x00" * 48)
+        message = f"{path}: {name} must be >= 1, got 0"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as info:
+            load_params(path)
+        assert not isinstance(info.value, ValueError)
 
     def test_seeded_init_draws_each_array_in_turn(self):
         params = init_params(2, 3, 4, 5, np.random.default_rng(78))

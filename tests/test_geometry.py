@@ -138,7 +138,10 @@ class TestTypes:
     @pytest.mark.parametrize("size", [{"l": np.inf}, {"h": np.nan}, {"w": np.inf},
                                       {"w": -1.0}])
     def test_box_rejects_nonfinite_sizes(self, size):
-        with pytest.raises(ValueError, match="sizes must be positive and finite"):
+        (key, value), = size.items()
+        name = {"l": "length", "h": "height", "w": "width"}[key]
+        message = f"{name} must be finite and in (0, inf), got {value!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             unit_box(**size)
 
     @pytest.mark.parametrize("yaw", [np.nan, np.inf, -np.inf])
@@ -157,7 +160,8 @@ class TestTypes:
 
     @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
     def test_wrap_angle_rejects_nonfinite(self, theta):
-        with pytest.raises(DomainError, match=f"non-finite angle: {theta}"):
+        message = f"theta must be finite and in (-inf, inf), got {theta!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             wrap_angle(theta)
 
 
@@ -823,7 +827,7 @@ class TestBoxOps:
 
     @pytest.mark.parametrize("amount", [np.nan, np.inf])
     def test_enlarge_rejects_nonfinite(self, amount):
-        with pytest.raises(ValueError, match="enlargement"):
+        with pytest.raises(DomainError, match=r"^amount must be finite and in \[0, inf\)"):
             enlarge_box(unit_box(), amount)
 
     def test_center_point_included(self):
@@ -1039,12 +1043,13 @@ class TestAugmentations:
 
     @pytest.mark.parametrize("factor", [np.nan, np.inf, -np.inf])
     def test_scale_rejects_a_nonfinite_factor(self, factor):
-        with pytest.raises(ValueError, match="^scale factor must be positive and finite"):
+        with pytest.raises(DomainError, match=r"^factor must be finite and in \(0, inf\)"):
             scale(PointCloud(np.ones((1, 3))), factor)
 
     @pytest.mark.parametrize("angle", [np.nan, np.inf])
     def test_rotate_rejects_a_nonfinite_angle(self, angle):
-        with pytest.raises(ValueError, match="^rotation angle must be finite"):
+        with pytest.raises(DomainError,
+                           match=r"^angle must be finite and in \(-inf, inf\)"):
             rotate_y(PointCloud(np.ones((1, 3))), angle)
 
 

@@ -1,3 +1,7 @@
+import math
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -5,20 +9,34 @@ from fuse3d import (
     BinSpec,
     Box3D,
     DimensionMismatch,
+    DomainError,
+    FocalConfig,
     InvalidCount,
     PointCloud,
     Proposal,
     RunConfig,
     SyntheticSceneSpec,
+    decode_bins,
+    encode_bins,
+    enlarge_box,
     finite_diff_grad,
+    focal_loss,
+    hybrid_sweep,
     init_params,
+    nms,
     roi_pooled_fusion,
+    rotate_y,
     run_gradcheck,
+    scale,
     select_proposals,
     sigmoid,
+    smooth_l1,
     subsystem_seed,
+    total_loss,
+    wrap_angle,
 )
-from fuse3d.numerics import checked_array
+from fuse3d.cli import _build_parser, cmd_gradcheck
+from fuse3d.numerics import _real, checked_array
 
 from oracles import scalar_finite_diff_grad
 
@@ -153,7 +171,7 @@ class TestFiniteDiffGrad:
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-4])
     def test_rejects_nonfinite_or_negative_eps(self, eps):
         calls = []
-        with pytest.raises(ValueError, match="finite and positive"):
+        with pytest.raises(DomainError, match=r"^eps must be finite and in \(0, inf\)"):
             finite_diff_grad(lambda s: calls.append(s) or np.zeros(len(s)),
                              np.ones(2), eps=eps)
         assert calls == []
@@ -250,3 +268,130 @@ class TestIntegerArguments:
 
     def test_bound_itself_passes(self, owner, name, low, call):
         call(np.int64(low))
+
+
+def _box(**fields):
+    values = dict(center=np.zeros(3), length=1.0, height=1.0, width=1.0, yaw=0.0)
+    return Box3D(**dict(values, **fields))
+
+
+def _gradcheck_cli(tolerance):
+    args = _build_parser().parse_args(
+        ["gradcheck", "--trials", "1", "--out", os.devnull])
+    args.tolerance = tolerance
+    return cmd_gradcheck(args)
+
+
+_CLOUD = PointCloud(np.arange(12.0).reshape(4, 3))
+_TERMS = ("rpn_cls", "rpn_reg", "rcnn_cls", "rcnn_reg")
+
+
+def _total(name, value):
+    return total_loss(*(value if term == name else 1.0 for term in _TERMS))
+
+
+# Every scalar real argument or field with its interval: (owner, name,
+# interval, a value inside it, call with that one value changed).
+_REAL_ARGUMENTS = [
+    ("wrap_angle", "theta", "(-inf, inf)", 0.5, wrap_angle),
+    *(("Box3D", key, "(0, inf)", 1.5, lambda v, key=key: _box(**{key: v}))
+      for key in ("length", "height", "width")),
+    ("Box3D", "yaw", "(-inf, inf)", 0.5, lambda v: _box(yaw=v)),
+    ("nms", "iou_threshold", "[0, 1]", 0.5, lambda v: nms([_box()], [1.0], v)),
+    ("enlarge_box", "amount", "[0, inf)", 0.5, lambda v: enlarge_box(_box(), v)),
+    ("rotate_y", "angle", "(-inf, inf)", 0.5, lambda v: rotate_y(_CLOUD, v)),
+    ("scale", "factor", "(0, inf)", 1.5, lambda v: scale(_CLOUD, v)),
+    ("Proposal", "score", "(-inf, inf)", 0.5, lambda v: Proposal(_box(), v)),
+    ("FocalConfig", "alpha", "(0, 1)", 0.5, lambda v: FocalConfig(alpha=v)),
+    ("FocalConfig", "gamma", "[0, inf)", 1.5, lambda v: FocalConfig(gamma=v)),
+    ("focal_loss", "c_t", "(0, 1]", 0.5, focal_loss),
+    ("smooth_l1", "pred", "(-inf, inf)", 0.5, lambda v: smooth_l1(v, 0.0)),
+    ("smooth_l1", "target", "(-inf, inf)", 0.5, lambda v: smooth_l1(0.0, v)),
+    ("BinSpec", "half_range", "(0, inf)", 1.5, lambda v: BinSpec(v, 12)),
+    ("encode_bins", "value", "(-inf, inf)", 0.5,
+     lambda v: encode_bins(v, 0.0, BinSpec(3.0, 12))),
+    ("encode_bins", "anchor", "(-inf, inf)", 0.5,
+     lambda v: encode_bins(0.0, v, BinSpec(3.0, 12))),
+    ("decode_bins", "residual", "(-inf, inf)", 0.5,
+     lambda v: decode_bins(0, v, 0.0, BinSpec(3.0, 12))),
+    ("decode_bins", "anchor", "(-inf, inf)", 0.5,
+     lambda v: decode_bins(0, 0.0, v, BinSpec(3.0, 12))),
+    *(("total_loss", key, "(-inf, inf)", 0.5, lambda v, key=key: _total(key, v))
+      for key in _TERMS),
+    *(("RunConfig", key, interval, inside,
+       lambda v, key=key: RunConfig(**{key: v}))
+      for key, interval, inside in (
+          ("nms_threshold", "[0, 1]", 0.5), ("enlarge", "[0, inf)", 0.5),
+          ("focal_alpha", "(0, 1)", 0.5), ("focal_gamma", "[0, inf)", 1.5),
+          ("bin_half_range", "(0, inf)", 1.5))),
+    *(("SyntheticSceneSpec", key, interval, inside,
+       lambda v, key=key: SyntheticSceneSpec(**{key: v}))
+      for key, interval, inside in (
+          ("cluster_radius", "(0, inf)", 1.5),
+          ("background_extent", "(0, inf)", 1.5),
+          ("attention_contrast", "[0, 1)", 0.5))),
+    ("finite_diff_grad", "eps", "(0, inf)", 0.5,
+     lambda v: finite_diff_grad(lambda s: np.zeros(len(s)), np.ones(2), v)),
+    ("cmd_gradcheck", "tolerance", "(0, inf)", 1.5, _gradcheck_cli),
+    # the type and finiteness only: the range [1, N/n] is an InvalidCount
+    ("hybrid_sweep", "oversample factor", "(-inf, inf)", 1.5,
+     lambda v: hybrid_sweep(_CLOUD, np.full(4, 0.5), 2, [v])),
+]
+
+
+def _ends(interval):
+    """(low, high, low closed, high closed) of an interval such as "(0, 1]"."""
+    low, high = interval[1:-1].split(", ")
+    return float(low), float(high), interval[0] == "[", interval[-1] == "]"
+
+
+def _contains(interval, value):
+    low, high, low_closed, high_closed = _ends(interval)
+    return ((low <= value) if low_closed else (low < value)) and (
+        (value <= high) if high_closed else (value < high))
+
+
+@pytest.mark.parametrize("owner, name, interval, inside, call", _REAL_ARGUMENTS,
+                         ids=[f"{row[0]}.{row[1]}" for row in _REAL_ARGUMENTS])
+class TestRealArguments:
+    @pytest.mark.parametrize("value", [True, np.True_, "1.5", None])
+    def test_non_real_is_domain_error(self, owner, name, interval, inside,
+                                      call, value):
+        message = f"{name} must be a real number, got {value!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    def test_nonfinite_or_outside_is_domain_error(self, owner, name, interval,
+                                                  inside, call):
+        low, high, low_closed, high_closed = _ends(interval)
+        outside = [math.nan, math.inf, -math.inf]
+        if math.isfinite(low):
+            outside.append(math.nextafter(low, -math.inf) if low_closed else low)
+        if math.isfinite(high):
+            outside.append(math.nextafter(high, math.inf) if high_closed else high)
+        for value in outside:
+            message = f"{name} must be finite and in {interval}, got {value!r}"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                call(value)
+
+    def test_closed_bounds_numpy_floats_and_integers_pass(
+            self, owner, name, interval, inside, call):
+        low, high, low_closed, high_closed = _ends(interval)
+        values = [np.float32(inside), np.float64(inside)]
+        values += [bound for bound, closed in ((low, low_closed), (high, high_closed))
+                   if closed]
+        values += [i for i in (math.floor(inside), math.ceil(inside))
+                   if _contains(interval, i)]
+        for value in values:
+            call(value)
+
+
+class TestReal:
+    def test_returns_the_float_of_its_argument(self):
+        for value in (np.float32(0.1), np.float64(0.1), 3):
+            out = _real(value, "x")
+            assert type(out) is float and out == float(value)
+
+    def test_integer_beyond_the_float_range_is_not_finite(self):
+        with pytest.raises(DomainError, match="^x must be finite and in"):
+            _real(10 ** 400, "x")

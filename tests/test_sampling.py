@@ -7,6 +7,7 @@ import pytest
 from conftest import make_cloud
 from fuse3d import (
     DimensionMismatch,
+    DomainError,
     InvalidCount,
     PointCloud,
     SamplerConfig,
@@ -530,7 +531,8 @@ class TestLambdaSweep:
         cloud, attention, _ = standard_scene
         lambdas = [1.0, 1.2, 1.4, 1.6]
         lambdas.insert(position, bad)
-        with pytest.raises(InvalidCount):
+        # NaN is not finite, a DomainError; 0.5 and 7.0 lie outside [1, N/n]
+        with pytest.raises(DomainError if np.isnan(bad) else InvalidCount):
             lambda_sweep(cloud, attention, 256, lambdas)
 
     @pytest.mark.parametrize("bad", [True, "1.5"])
@@ -545,7 +547,7 @@ class TestLambdaSweep:
         monkeypatch.setattr(sampling, "farthest_point_sampling", no_fps)
         message = f"oversample factor must be a real number, got {bad!r}"
         for sweep in (hybrid_sweep, lambda_sweep):
-            with pytest.raises(InvalidCount, match=f"^{re.escape(message)}$"):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 sweep(cloud, att, 10, [1.2, bad])
 
     def test_numpy_and_integer_factors_accepted(self):
