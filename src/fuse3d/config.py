@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .losses import BinConfig, BinSpec
+from .losses import _HALF_RANGE, BinConfig, BinSpec
 from .numerics import _count, _real
 
 
@@ -36,18 +36,20 @@ class RunConfig:
 
     def __post_init__(self):
         # a bad value raises InvalidCount (integer keys) or DomainError
-        # (real keys) naming its key
+        # (real keys) naming its key; a good one is stored as the Python
+        # int or float the check returns, never as a numpy scalar
         for key, low in (("pre_nms_top", 1), ("proposals_keep", 1),
                          ("roi_points", 1), ("bin_count_xz", 2),
                          ("bin_count_yaw", 2), ("seed", 0)):
-            _count(getattr(self, key), key, low)
+            object.__setattr__(self, key, _count(getattr(self, key), key, low))
         for key, low, high, interval in (
                 ("nms_threshold", 0.0, 1.0, "[0, 1]"),
                 ("enlarge", 0.0, math.inf, "[0, inf)"),
                 ("focal_alpha", 0.0, 1.0, "(0, 1)"),
                 ("focal_gamma", 0.0, math.inf, "[0, inf)"),
-                ("bin_half_range", 0.0, math.inf, "(0, inf)")):
-            _real(getattr(self, key), key, low, high, interval)
+                ("bin_half_range", *_HALF_RANGE)):
+            object.__setattr__(self, key,
+                               _real(getattr(self, key), key, low, high, interval))
 
     def bin_config(self) -> BinConfig:
         return BinConfig(

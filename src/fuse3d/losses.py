@@ -12,6 +12,7 @@ terms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,13 @@ def smooth_l1(pred: float, target: float) -> float:
     return 0.5 * d * d if d < 1.0 else d - 0.5
 
 
+# The ``_real`` bounds of a half range: at most half the largest float,
+# so that the search range 2 * half_range, and with it every bin width
+# and residual, is finite.
+_HALF_RANGE = (0.0, sys.float_info.max / 2.0,
+               f"(0, {sys.float_info.max / 2.0!r}]")
+
+
 @dataclass(frozen=True)
 class BinSpec:
     """Search range and bin layout for one regressed quantity.
@@ -68,8 +76,11 @@ class BinSpec:
     wrap: bool = False
 
     def __post_init__(self):
-        _real(self.half_range, "half_range", 0.0, interval="(0, inf)")
-        _count(self.num_bins, "num_bins", 2)
+        # stored as the Python float and int the checks return: a numpy
+        # float32 half range would make every width and residual float32
+        object.__setattr__(self, "half_range",
+                           _real(self.half_range, "half_range", *_HALF_RANGE))
+        object.__setattr__(self, "num_bins", _count(self.num_bins, "num_bins", 2))
 
     @property
     def width(self) -> float:

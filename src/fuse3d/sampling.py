@@ -68,7 +68,8 @@ def farthest_point_sampling(
     within that distance of its own. The running minima are kept in x
     order, so that the update is a slice, and copied into a second array
     in original index order, where the argmax spans every point; picks
-    and ties are exactly those of the full update.
+    and ties are exactly those of the full update. A pick's x and
+    coordinates are read at its slot in the x-sorted copy.
 
     Working memory is O(N), 80 bytes per point, all allocated before the
     first pick: the x-sorted (3, N) coordinate copy, its permutation and
@@ -108,30 +109,39 @@ def farthest_point_sampling(
     diff = np.empty((3, total))
     chosen = np.empty(n, dtype=np.intp)
     chosen[0] = last = seed_index
+    # bound to locals once: a module attribute lookup per pick shows, and
+    # a scalar read through a memoryview costs half of one from the array
+    subtract, minimum, bisect_left, sqrt = (
+        np.subtract, np.minimum, bisect.bisect_left, math.sqrt)
+    argmax = min_d2.argmax
+    rank_at, min_d2_at = memoryview(rank), memoryview(min_d2)
     for k in range(1, n):
-        p = coords[last, :, None]
-        px = float(p[0, 0])
+        # the pick's slot in x order; its x and coordinates are read
+        # there, from the sorted copy, and hold the same values as
+        # coords[last]
+        r = rank_at[last]
+        px = x_sorted[r]
         # _x_window and _x_reach inlined (a call per pick costs 1%):
         # min_d2[last] is the largest running minimum of any unpicked
         # point, inf for the seed
-        reach = math.sqrt(min_d2[last]) * (1.0 + 1e-9) + pad
-        lo = bisect.bisect_left(x_sorted, px - reach)
-        hi = bisect.bisect_left(x_sorted, px + reach, lo)
+        reach = sqrt(min_d2_at[last]) * (1.0 + 1e-9) + pad
+        lo = bisect_left(x_sorted, px - reach)
+        hi = bisect_left(x_sorted, px + reach, lo)
         d = diff[:, :hi - lo]
         # d2 = (dx*dx + dz*dz) + dy*dy, as in aad: the order fixes the
         # rounding, and with it which of two near-equal distances wins
-        np.subtract(pts[:, lo:hi], p, out=d)
+        subtract(pts[:, lo:hi], pts[:, r:r + 1], out=d)
         d *= d
         d2 = d[0]
         d2 += d[2]
         d2 += d[1]
         # the pad is positive, so the window holds the pick itself and
         # its -1 reaches min_d2 with the rest of the window
-        run_d2[rank[last]] = -1.0
+        run_d2[r] = -1.0
         run = run_d2[lo:hi]
-        np.minimum(run, d2, out=run)
+        minimum(run, d2, out=run)
         min_d2[order[lo:hi]] = run
-        last = chosen[k] = min_d2.argmax()
+        last = chosen[k] = argmax()
     return chosen
 
 

@@ -8,6 +8,7 @@ deterministic per seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,16 @@ class SyntheticSceneSpec:
     seed: int = 42
 
     def __post_init__(self):
+        # each field is stored as the Python int or float its check
+        # returns, so the spec converts to JSON as it is
         for name in ("num_clusters", "points_per_cluster", "background_points"):
-            _count(getattr(self, name), name, 1)
-        for name in ("cluster_radius", "background_extent"):
-            _real(getattr(self, name), name, 0.0, interval="(0, inf)")
-        _real(self.attention_contrast, "attention_contrast", 0.0, 1.0, "[0, 1)")
-        _count(self.seed, "seed", 0)
+            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
+        for name, high, interval in (("cluster_radius", math.inf, "(0, inf)"),
+                                     ("background_extent", math.inf, "(0, inf)"),
+                                     ("attention_contrast", 1.0, "[0, 1)")):
+            object.__setattr__(self, name,
+                               _real(getattr(self, name), name, 0.0, high, interval))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
 
 
 def generate_scene(

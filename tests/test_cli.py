@@ -751,6 +751,22 @@ class TestConfigHandling:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_half_range_whose_bin_width_overflows_is_usage_error(
+            self, tmp_path, capsys, source):
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(TestLossEval.fixture_payload()))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bin_half_range = 1e308\n")
+        out = tmp_path / "report.json"
+        given = (["--config", str(cfg)] if source == "config"
+                 else ["--bin-half-range", "1e308"])
+        assert main(["loss-eval", "--fixture", str(fixture), *given,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bin_half_range must be finite and in")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, keys", [
         ("gradcheck", ["seed"]),
         ("roi-demo", ["seed", "nms_threshold", "pre_nms_top",

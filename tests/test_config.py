@@ -1,10 +1,13 @@
 import dataclasses
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from fuse3d import (
+    DomainError,
     InvalidCount,
     ParseError,
     RunConfig,
@@ -118,6 +121,26 @@ class TestValidation:
             RunConfig(**{key: value})
         with pytest.raises(InvalidCount, match=message):
             dataclasses.replace(RunConfig(), **{key: value})
+
+    def test_half_range_whose_bin_width_overflows_rejected(self):
+        message = "^bin_half_range must be finite and in"
+        with pytest.raises(DomainError, match=message):
+            RunConfig(bin_half_range=1e308)
+        with pytest.raises(DomainError, match=message):
+            parse_config("bin_half_range = 1e308\n")
+        half = sys.float_info.max / 2
+        assert math.isfinite(RunConfig(bin_half_range=half).bin_config().x.width)
+
+    @pytest.mark.parametrize("field", dataclasses.fields(RunConfig),
+                             ids=lambda f: f.name)
+    def test_numpy_scalars_are_stored_as_python_scalars(self, field):
+        kind = type(field.default)
+        value = (np.int64 if kind is int else np.float32)(field.default)
+        for cfg in (RunConfig(**{field.name: value}),
+                    dataclasses.replace(RunConfig(), **{field.name: value})):
+            got = getattr(cfg, field.name)
+            assert type(got) is kind and got == value
+            json.dumps(dataclasses.asdict(cfg))
 
     def test_out_of_range_file_value_rejected_by_parser(self):
         with pytest.raises(ValueError, match="enlarge must be finite"):

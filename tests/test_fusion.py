@@ -204,6 +204,11 @@ class TestForward:
             AAFParams(-1, 1, np.zeros((0, 1)), np.zeros(1), np.zeros((0, 1)),
                       np.zeros(1), np.zeros((2, 1)), np.zeros(1))
 
+    def test_zero_output_channels_rejected(self):
+        with pytest.raises(InvalidCount, match="^c_out must be >= 1, got 0$"):
+            AAFParams(1, 1, np.zeros((2, 1)), np.zeros(1), np.zeros((2, 1)),
+                      np.zeros(1), np.zeros((2, 0)), np.zeros(0))
+
     def test_feature_arrays_must_be_2d(self):
         for shapes in (((3,), (3, 2), (3, 1)),
                        ((3, 2), (3, 2, 1), (3, 1)),
@@ -266,6 +271,59 @@ class TestBackward:
             for eps in (1e-5, 1e-3):
                 assert gradcheck(params, inp, upstream, eps=eps) == \
                     per_element_gradcheck(params, inp, upstream, eps)
+
+    @pytest.mark.parametrize("n, c_prev, nan_at", [
+        (3, 2, None), (3, 0, None), (0, 2, None), (3, 2, 3), (3, 2, -1),
+        (3, 0, -1)],
+        ids=["full", "empty_group", "no_points", "nan_in_bias", "nan_last",
+             "nan_beside_empty_group"])
+    def test_report_equals_relative_error_of_each_group(self, monkeypatch, n,
+                                                        c_prev, nan_at):
+        # the one-pass comparison against relative_error group by group,
+        # on the same numeric gradient, one entry of it NaN if nan_at is set
+        rng = np.random.default_rng(83)
+        params = init_params(2, 1, c_prev, 2, rng)
+        inp = AAFInput(rng.standard_normal((n, 2)), rng.standard_normal((n, 1)),
+                       rng.standard_normal((n, c_prev)))
+        upstream = rng.standard_normal((n, 2))
+        real, seen = fusion.finite_diff_grad, []
+
+        def spiked(*args, **kwargs):
+            grad = real(*args, **kwargs)
+            if nan_at is not None:
+                grad[nan_at] = math.nan
+            seen.append(grad)
+            return grad
+
+        monkeypatch.setattr(fusion, "finite_diff_grad", spiked)
+        report = gradcheck(params, inp, upstream)
+        [numeric] = seen
+        analytic = aaf_backward(params, inp, upstream)
+        expected, start = {}, 0
+        for group in _GRAD_GROUPS:
+            exact = getattr(analytic, group)
+            part = numeric[start:start + exact.size].reshape(exact.shape)
+            expected[group] = relative_error(exact, part)
+            start += exact.size
+        assert list(report) == list(_GRAD_GROUPS)
+        assert {g: repr(e) for g, e in report.items()} == \
+            {g: repr(e) for g, e in expected.items()}
+        assert (report["f_fused_prev"] == 0.0) == (n * c_prev == 0)
+        assert sum(map(math.isnan, report.values())) == (nan_at is not None)
+
+    def test_run_gradcheck_is_the_group_wise_max_of_its_trials(self):
+        seed, trials = 31, 40
+        rng = np.random.default_rng(seed)
+        errors = {group: [] for group in _GRAD_GROUPS}
+        for _ in range(trials):
+            params, inp = random_instance(rng)  # run_gradcheck's draws
+            upstream = rng.standard_normal((len(inp.f_image), params.c_out))
+            for group, err in gradcheck(params, inp, upstream).items():
+                errors[group].append(err)
+        worst = {group: max(errs) for group, errs in errors.items()}
+        report = run_gradcheck(seed, trials)
+        assert report["per_group_max_relative_error"] == worst
+        assert report["max_relative_error"] == max(worst.values())
 
     def test_large_instance_memory_is_bounded(self):
         # 50 points and 12 channels per group make 2294 entries, whose
@@ -420,11 +478,13 @@ class TestSerialization:
             load_params(path)
 
     @pytest.mark.parametrize("header, name", [
-        ([0, 1, 0, 1, 1], "c_img"), ([1, 0, 0, 1, 1], "c_pt")])
+        ([0, 1, 0, 1, 1], "c_img"), ([1, 0, 0, 1, 1], "c_pt"),
+        ([1, 1, 0, 1, 0], "c_out")])
     def test_zero_channel_count_in_header_is_parse_error(self, tmp_path,
                                                          header, name):
         path = tmp_path / "params.bin"
-        # one concatenated channel: six weight arrays of one entry each
+        # six float64 entries: one concatenated channel and six arrays of
+        # one entry, or two channels and no output head
         path.write_bytes(np.array(header, dtype="<u4").tobytes() + b"\x00" * 48)
         message = f"{path}: {name} must be >= 1, got 0"
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as info:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -215,6 +216,30 @@ class TestBins:
     def test_spec_rejects_nonfinite_range(self, half_range):
         with pytest.raises(ValueError, match="half_range"):
             BinSpec(half_range, 12)
+
+    @pytest.mark.parametrize("half_range", [
+        1e308, math.nextafter(sys.float_info.max / 2, math.inf)])
+    def test_spec_rejects_a_range_whose_width_overflows(self, half_range):
+        # 2 * half_range is inf, and with it the width and every residual
+        with pytest.raises(DomainError, match="^half_range must be finite and in"):
+            BinSpec(half_range, 12)
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_largest_range_encodes_finite_residuals(self, wrap):
+        half = sys.float_info.max / 2
+        spec = BinSpec(half, 12, wrap=wrap)
+        assert math.isfinite(spec.width)
+        for value in (-half, -0.5 * half, 0.0, 0.999 * half,
+                      math.nextafter(half, 0.0)):
+            index, residual = encode_bins(value, 0.0, spec)
+            assert 0 <= index < 12 and -0.5 <= residual < 0.5
+
+    def test_spec_stores_python_scalars(self):
+        spec = BinSpec(np.float32(3.0), np.int64(12))
+        assert type(spec.half_range) is float and type(spec.num_bins) is int
+        index, residual = encode_bins(0.1, 0.0, spec)
+        assert type(residual) is float
+        assert (index, residual) == encode_bins(0.1, 0.0, BinSpec(3.0, 12))
 
 
 class TestBinCrossEntropy:

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +66,20 @@ class TestSigmoid:
     def test_monotone(self):
         x = np.linspace(-20, 20, 2001)
         assert np.all(np.diff(sigmoid(x)) > 0)
+
+    def test_equals_two_branch_clipped_form_bit_for_bit(self):
+        # the stable two-branch form, clamped by np.clip, NaN included
+        rng = np.random.default_rng(2)
+        x = np.concatenate([rng.standard_normal(4000) * scale
+                            for scale in (1.0, 10.0, 40.0, 800.0)]
+                           + [[math.nan, math.inf, -math.inf, 0.0, -0.0,
+                               5e-324, -5e-324, 36.0, -36.0, 1e308]])
+        e = np.exp(-np.abs(x))
+        expected = np.clip(np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)),
+                           np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+        got = sigmoid(x.reshape(-1, 2, 1))
+        assert got.shape == (x.size // 2, 2, 1)
+        assert got.reshape(-1).tobytes() == expected.tobytes()
 
 
 class TestFiniteDiffGrad:
@@ -290,6 +305,10 @@ def _total(name, value):
     return total_loss(*(value if term == name else 1.0 for term in _TERMS))
 
 
+# A half range is at most half the largest float, so that its search
+# range, twice it, is finite.
+_HALF_RANGE = f"(0, {sys.float_info.max / 2!r}]"
+
 # Every scalar real argument or field with its interval: (owner, name,
 # interval, a value inside it, call with that one value changed).
 _REAL_ARGUMENTS = [
@@ -307,7 +326,7 @@ _REAL_ARGUMENTS = [
     ("focal_loss", "c_t", "(0, 1]", 0.5, focal_loss),
     ("smooth_l1", "pred", "(-inf, inf)", 0.5, lambda v: smooth_l1(v, 0.0)),
     ("smooth_l1", "target", "(-inf, inf)", 0.5, lambda v: smooth_l1(0.0, v)),
-    ("BinSpec", "half_range", "(0, inf)", 1.5, lambda v: BinSpec(v, 12)),
+    ("BinSpec", "half_range", _HALF_RANGE, 1.5, lambda v: BinSpec(v, 12)),
     ("encode_bins", "value", "(-inf, inf)", 0.5,
      lambda v: encode_bins(v, 0.0, BinSpec(3.0, 12))),
     ("encode_bins", "anchor", "(-inf, inf)", 0.5,
@@ -323,7 +342,7 @@ _REAL_ARGUMENTS = [
       for key, interval, inside in (
           ("nms_threshold", "[0, 1]", 0.5), ("enlarge", "[0, inf)", 0.5),
           ("focal_alpha", "(0, 1)", 0.5), ("focal_gamma", "[0, inf)", 1.5),
-          ("bin_half_range", "(0, inf)", 1.5))),
+          ("bin_half_range", _HALF_RANGE, 1.5))),
     *(("SyntheticSceneSpec", key, interval, inside,
        lambda v, key=key: SyntheticSceneSpec(**{key: v}))
       for key, interval, inside in (

@@ -196,6 +196,18 @@ class TestFarthestPointSampling:
         got = farthest_point_sampling(PointCloud(coords), n, seed_index=5)
         assert got.tolist() == rowwise_fps(coords, n, seed_index=5)
 
+    @pytest.mark.parametrize("name", WINDOW_EDGE_NAMES)
+    def test_column_view_of_records_matches_rowwise_oracle(self, name):
+        # the layout read_point_cloud_bin builds: the coordinates are the
+        # first three columns of (N, 4) records, a strided view
+        coords = window_edge_clouds()[name]
+        records = np.column_stack([coords, np.arange(len(coords), dtype=float)])
+        cloud = PointCloud(records[:, :3])
+        assert not cloud.coords.flags.c_contiguous
+        n = len(coords)
+        got = farthest_point_sampling(cloud, n, seed_index=5)
+        assert got.tolist() == rowwise_fps(coords, n, seed_index=5)
+
     def test_clustered_scene_matches_rowwise_oracle(self, standard_scene):
         cloud, _, _ = standard_scene
         n = len(cloud)

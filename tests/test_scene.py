@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -97,3 +99,15 @@ class TestSyntheticScene:
     def test_extent_must_be_positive_and_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
             SyntheticSceneSpec(**{field: value})
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(SyntheticSceneSpec),
+                         ids=lambda f: f.name)
+def test_numpy_scalars_are_stored_as_python_scalars(field):
+    kind = type(field.default)
+    value = (np.int64 if kind is int else np.float32)(field.default)
+    spec = SyntheticSceneSpec(**{field.name: value})
+    got = getattr(spec, field.name)
+    assert type(got) is kind and got == value
+    # gen-scene writes this dict to boxes.json
+    json.dumps(dataclasses.asdict(spec))
