@@ -29,6 +29,7 @@ from .fusion import AAFInput, aaf_forward, init_params, run_gradcheck
 from .geometry import Box3D, in_image_bounds, iou_bev, project_points
 from .kitti_io import _point_records, read_calib, read_point_cloud_bin
 from .losses import (
+    _TERM_NAMES,
     FocalConfig,
     RegressionPrediction,
     encode_box_target,
@@ -394,7 +395,6 @@ def cmd_loss_eval(args) -> int:
 # The keys a loss-eval fixture may hold, top level and under "stages".
 _FIXTURE_KEYS = ("focal_c_t", "pred_box", "gt_box", "anchor_box", "logits_x",
                  "logits_z", "logits_yaw", "pred_residuals", "stages")
-_STAGE_KEYS = ("rpn_cls", "rpn_reg", "rcnn_cls", "rcnn_reg")
 
 
 def _evaluate_losses(fixture: dict, cfg: RunConfig) -> dict:
@@ -426,9 +426,9 @@ def _evaluate_losses(fixture: dict, cfg: RunConfig) -> dict:
     }
     if "stages" in fixture:
         stages = fixture["stages"]
-        values = [stages[key] for key in _STAGE_KEYS]
+        values = [stages[key] for key in _TERM_NAMES]
         for key in stages:
-            if key not in _STAGE_KEYS:
+            if key not in _TERM_NAMES:
                 raise ValueError(f"stages key {key!r} is not read")
         report["total"] = total_loss(*values)
     return report

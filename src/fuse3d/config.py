@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .losses import _HALF_RANGE, BinConfig, BinSpec
+from .losses import BinConfig, BinSpec, _half_range
 from .numerics import _count, _real
 
 
@@ -46,10 +46,11 @@ class RunConfig:
                 ("nms_threshold", 0.0, 1.0, "[0, 1]"),
                 ("enlarge", 0.0, math.inf, "[0, inf)"),
                 ("focal_alpha", 0.0, 1.0, "(0, 1)"),
-                ("focal_gamma", 0.0, math.inf, "[0, inf)"),
-                ("bin_half_range", *_HALF_RANGE)):
+                ("focal_gamma", 0.0, math.inf, "[0, inf)")):
             object.__setattr__(self, key,
                                _real(getattr(self, key), key, low, high, interval))
+        object.__setattr__(self, "bin_half_range", _half_range(
+            self.bin_half_range, self.bin_count_xz, "bin_half_range"))
 
     def bin_config(self) -> BinConfig:
         return BinConfig(
@@ -62,8 +63,9 @@ class RunConfig:
 def parse_config(text: str) -> RunConfig:
     """Parse ``key = value`` lines; '#' starts a comment, blanks skipped.
 
-    Unknown keys and malformed values raise ParseError, and a value out
-    of its key's range raises ValueError. Missing keys keep defaults.
+    Unknown or repeated keys and malformed values raise ParseError, and
+    a value out of its key's range raises ValueError. Missing keys keep
+    defaults.
     """
     types = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
     values = {}
@@ -77,6 +79,8 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         if key not in types:
             raise ParseError(f"line {line_no}: unknown key {key!r}")
+        if key in values:
+            raise ParseError(f"line {line_no}: {key} given a second time")
         value = value.strip()
         try:
             values[key] = types[key](value)

@@ -14,9 +14,10 @@ class DimensionMismatch(Fuse3DError, ValueError):
 
 
 class InvalidCount(Fuse3DError, ValueError):
-    """A count is not an integer or below its bound, or a sample count or
-    oversample factor lies outside its range; a factor that is not a
-    finite real number is a DomainError."""
+    """An integer argument (a count, seed, index or bin) is not an integer
+    or lies outside its bounds, an oversample factor outside [1, N/n], or
+    an index array is not distinct integers in range; a factor that is
+    not a finite real number is a DomainError."""
 
 
 class TooFewPoints(Fuse3DError, ValueError):
@@ -28,7 +29,9 @@ class DomainError(Fuse3DError, ValueError):
 
 
 class OutOfRange(Fuse3DError, ValueError):
-    """A value falls outside the configured search range."""
+    """An offset to be binned falls outside its spec's search range, or
+    cannot be folded into a wrapping one; a bin index outside its range
+    is an InvalidCount."""
 
 
 class ParseError(Fuse3DError):

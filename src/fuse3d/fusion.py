@@ -118,13 +118,9 @@ _GRAD_GROUPS = _WEIGHTS + ("f_image", "f_point", "f_fused_prev")
 
 
 def _check_shapes(params: AAFParams, inp: AAFInput):
-    for name, expected in (("f_image", params.c_img), ("f_point", params.c_pt),
+    for name, channels in (("f_image", params.c_img), ("f_point", params.c_pt),
                            ("f_fused_prev", params.c_prev)):
-        got = getattr(inp, name).shape[1]
-        if got != expected:
-            raise DimensionMismatch(
-                f"{name} has {got} channels, params expect {expected}"
-            )
+        checked_array(getattr(inp, name), name, ("N", channels))
 
 
 def _forward(w_img_att, b_img_att, w_pt_att, b_pt_att, w_out, b_out,

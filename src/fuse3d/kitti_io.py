@@ -121,17 +121,22 @@ def read_calib(path) -> np.ndarray:
 
 
 _LABEL_FIELDS = 15  # class + 14 numbers, then an optional score
+# the name of each number, in column order
+_LABEL_COLUMNS = ("truncation", "occlusion", "alpha", "bbox_left", "bbox_top",
+                  "bbox_right", "bbox_bottom", "h", "w", "l", "x", "y", "z",
+                  "yaw", "score")
 
 
 def read_labels(path) -> list[tuple[str, Box3D]]:
     """Parse object labels, one camera-frame box per line.
 
     Line layout: class, truncation, occlusion, alpha, four 2D-bbox
-    values, h, w, l, x, y, z, yaw, and an optional finite score, which
-    is checked and not returned. The stored location is the center of
+    values, h, w, l, x, y, z, yaw, and an optional score, which is
+    checked and not returned. Every number must be finite, else a
+    ParseError names its column. The stored location is the center of
     the bottom face (camera y points down), so the returned box center
     is lifted by half the height. 'DontCare' rows pass the field-count,
-    number and score checks and are then skipped.
+    number and finiteness checks and are then skipped.
     """
     out = []
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -148,8 +153,10 @@ def read_labels(path) -> list[tuple[str, Box3D]]:
             values = [float(p) for p in parts[1:]]
         except ValueError as exc:
             raise ParseError(f"{path}:{line_no}: {exc}") from None
-        if not np.isfinite(values[_LABEL_FIELDS - 1:]).all():
-            raise ParseError(f"{path}:{line_no}: score must be finite")
+        finite = np.isfinite(values)
+        if not finite.all():
+            column = _LABEL_COLUMNS[int(finite.argmin())]
+            raise ParseError(f"{path}:{line_no}: {column} must be finite")
         # checked like any row, but its -1 sizes make no box
         if parts[0] == "DontCare":
             continue

@@ -55,11 +55,21 @@ def smooth_l1(pred: float, target: float) -> float:
     return 0.5 * d * d if d < 1.0 else d - 0.5
 
 
-# The ``_real`` bounds of a half range: at most half the largest float,
-# so that the search range 2 * half_range, and with it every bin width
-# and residual, is finite.
-_HALF_RANGE = (0.0, sys.float_info.max / 2.0,
-               f"(0, {sys.float_info.max / 2.0!r}]")
+def _half_range(value, num_bins: int, name: str) -> float:
+    """``value`` as the half range of ``num_bins`` bins, else a DomainError
+    naming ``name``. It lies in (0, sys.float_info.max / 2], so that the
+    search range 2 * half_range, and with it every bin width and residual,
+    is finite, and the bin width must be a float above 0."""
+    high = sys.float_info.max / 2.0
+    out = _real(value, name, 0.0, high, f"(0, {high!r}]")
+    try:
+        width = 2.0 * out / num_bins
+    except OverflowError:  # a bin count beyond the float range
+        width = 0.0
+    if width == 0.0:
+        raise DomainError(f"{name} must give {num_bins} bins a nonzero "
+                          f"width, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,9 +88,9 @@ class BinSpec:
     def __post_init__(self):
         # stored as the Python float and int the checks return: a numpy
         # float32 half range would make every width and residual float32
-        object.__setattr__(self, "half_range",
-                           _real(self.half_range, "half_range", *_HALF_RANGE))
         object.__setattr__(self, "num_bins", _count(self.num_bins, "num_bins", 2))
+        object.__setattr__(self, "half_range",
+                           _half_range(self.half_range, self.num_bins, "half_range"))
 
     @property
     def width(self) -> float:
@@ -105,17 +115,19 @@ def encode_bins(value: float, anchor: float, spec: BinSpec) -> tuple[int, float]
     Raises
     ------
     OutOfRange
-        When a non-wrapping offset leaves [-half_range, half_range).
+        When a non-wrapping offset leaves [-half_range, half_range), or a
+        wrapping one cannot be folded into it: the difference of two
+        finite values overflowed to an infinity, or so did the fold.
     """
     offset = _real(value, "value") - _real(anchor, "anchor")
     r = spec.half_range
-    if spec.wrap:
-        offset = fold(offset, r)
-    elif not -r <= offset < r:
+    # an overflowed offset folds to NaN, which the range check rejects
+    folded = fold(offset, r) if spec.wrap else offset
+    if not -r <= folded < r:
         raise OutOfRange(
             f"offset {offset} outside [{-r}, {r}) for anchor {anchor}"
         )
-    shifted = offset + r  # in [0, 2r)
+    shifted = folded + r  # in [0, 2r)
     index = int(shifted // spec.width)
     if index >= spec.num_bins:  # float roundoff at the top edge
         return spec.num_bins - 1, math.nextafter(0.5, 0.0)
@@ -128,9 +140,7 @@ def decode_bins(
 ) -> float:
     """Invert :func:`encode_bins`: a non-wrapping pair whose exact value lies
     in the search range decodes into it, as :func:`encode_bins` measures it."""
-    bin_index = _count(bin_index, "bin_index")
-    if not 0 <= bin_index < spec.num_bins:
-        raise OutOfRange(f"bin {bin_index} outside [0, {spec.num_bins})")
+    bin_index = _count(bin_index, "bin_index", 0, spec.num_bins - 1)
     residual, anchor = _real(residual, "residual"), _real(anchor, "anchor")
     r = spec.half_range
     value = anchor - r + (bin_index + 0.5 + residual) * spec.width
@@ -148,9 +158,7 @@ def bin_cross_entropy(logits, target_bin: int) -> float:
     l = checked_array(logits, "logits", ("C",), finite=True)
     if l.size == 0:
         raise DimensionMismatch(f"logits must be non-empty 1-D, got {l.shape}")
-    target_bin = _count(target_bin, "target_bin")
-    if not 0 <= target_bin < l.size:
-        raise OutOfRange(f"target bin {target_bin} outside [0, {l.size})")
+    target_bin = _count(target_bin, "target_bin", 0, l.size - 1)
     m = float(l.max())
     lse = m + math.log(float(np.exp(l - m).sum()))
     return float(lse - l[target_bin])
@@ -243,16 +251,9 @@ def regression_terms(
     seven residuals, and the BEV-overlap log regularizer on the decoded
     boxes.
     """
-    for logits, spec, name in (
-        (pred.logits_x, cfg.x, "x"),
-        (pred.logits_z, cfg.z, "z"),
-        (pred.logits_yaw, cfg.yaw, "yaw"),
-    ):
-        if logits.shape != (spec.num_bins,):
-            raise DimensionMismatch(
-                f"logits_{name} has shape {logits.shape}, expected "
-                f"({spec.num_bins},)"
-            )
+    for name, spec in (("logits_x", cfg.x), ("logits_z", cfg.z),
+                       ("logits_yaw", cfg.yaw)):
+        checked_array(getattr(pred, name), name, (spec.num_bins,))
     return RegressionTerms(
         ce_x=bin_cross_entropy(pred.logits_x, target.bin_x),
         ce_z=bin_cross_entropy(pred.logits_z, target.bin_z),

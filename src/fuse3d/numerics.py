@@ -44,17 +44,23 @@ def checked_array(value, name: str, shape=None, finite: bool = False) -> np.ndar
     return out
 
 
-def _count(value, name: str, low: int | None = None) -> int:
-    """``value`` as an int of at least ``low``. numpy integers pass; a
-    float, a bool (numpy's refuses ``operator.index`` itself) or any other
+def _count(value, name: str, low: int | None = None,
+           high: int | None = None) -> int:
+    """``value`` as an int of at least ``low`` and, when ``high`` is given
+    (always with ``low``), at most ``high``. numpy integers pass; a float,
+    a bool (numpy's refuses ``operator.index`` itself) or any other
     non-integer is an InvalidCount naming ``name``, and so is an integer
-    below ``low``: "{name} must be >= {low}, got {value}"."""
+    below ``low``, "{name} must be >= {low}, got {value}", or with
+    ``high`` outside [low, high], "{name} must be in [{low}, {high}], got
+    {value}"."""
     if not isinstance(value, bool):
         try:
             out = operator.index(value)
         except TypeError:
             pass
         else:
+            if high is not None and not low <= out <= high:
+                raise InvalidCount(f"{name} must be in [{low}, {high}], got {out}")
             if low is not None and out < low:
                 raise InvalidCount(f"{name} must be >= {low}, got {out}")
             return out

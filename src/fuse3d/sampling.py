@@ -80,20 +80,17 @@ def farthest_point_sampling(
     ------
     InvalidCount
         When ``n`` or ``seed_index`` is not an integer (a float or a
-        bool; numpy integers are accepted) or lies out of range.
+        bool; numpy integers are accepted) or lies outside [1, N] or
+        [0, N - 1] for a cloud of N points.
 
     Returns
     -------
     (n,) int ndarray of chosen indices, in selection order.
     """
-    n = _count(n, "n")
-    seed_index = _count(seed_index, "seed_index")
     coords = cloud.coords
     total = len(cloud)
-    if n < 1 or n > total:
-        raise InvalidCount(f"cannot sample {n} of {total} points")
-    if not 0 <= seed_index < total:
-        raise InvalidCount(f"seed_index {seed_index} outside [0, {total})")
+    n = _count(n, "n", 1, total)
+    seed_index = _count(seed_index, "seed_index", 0, total - 1)
     order = np.argsort(coords[:, 0])
     rank = np.empty(total, dtype=np.intp)
     rank[order] = np.arange(total)
@@ -154,8 +151,9 @@ def hybrid_sweep(
 ) -> list[tuple[float, np.ndarray]]:
     """The hybrid sample at several oversample factors from one FPS run.
 
-    Every factor is validated before any sampling runs: a bool, any
-    other non-real (a string, say) or a non-finite factor is a
+    Every argument is validated before any sampling runs: ``n`` and
+    ``seed_index`` as in ``farthest_point_sampling``, and each factor: a
+    bool, any other non-real (a string, say) or a non-finite factor is a
     DomainError, and a factor outside [1, N/n] an InvalidCount. FPS then runs
     once, for the largest candidate count; each factor ranks a prefix
     of that run, which is exactly the FPS its own ``hybrid_sample``
@@ -166,15 +164,13 @@ def hybrid_sweep(
     list of (lam, indices) sorted by lam, each ``indices`` equal to
     ``hybrid_sample(cloud, attention, SamplerConfig(n, lam, seed_index))``.
     """
-    n = _count(n, "n")
-    seed_index = _count(seed_index, "seed_index")
     total = len(cloud)
+    n = _count(n, "n", 1, total)
+    seed_index = _count(seed_index, "seed_index", 0, total - 1)
     att = checked_array(attention, "attention", (total,))
     # phrased so that NaN, which fails every comparison, is rejected
     if not ((att > 0.0) & (att < 1.0)).all():
         raise ValueError("attention scores must lie strictly in (0, 1)")
-    if n < 1 or n > total:
-        raise InvalidCount(f"cannot sample {n} of {total} points")
     lams = []
     for lam in lambdas:
         lam = _real(lam, "oversample factor")

@@ -687,6 +687,13 @@ class TestConfigHandling:
         cfg.write_text("unknown_key = 5\n")
         assert main(["gradcheck", "--config", str(cfg)]) == 2
 
+    def test_repeated_config_key_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\nseed = 2\n")
+        assert main(["gradcheck", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: line 2: seed given a second time\n")
+
     def test_bad_override_value_is_usage_error(self):
         assert main(["gradcheck", "--seed", "not-an-int"]) == 1
 
@@ -765,6 +772,19 @@ class TestConfigHandling:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: bin_half_range must be finite and in")
+        assert not out.exists()
+
+    def test_half_range_whose_bin_width_rounds_to_zero_is_usage_error(
+            self, tmp_path, capsys):
+        # the fixture's ground truth and anchor share x, so the offset is 0
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(TestLossEval.fixture_payload()))
+        out = tmp_path / "report.json"
+        assert main(["loss-eval", "--fixture", str(fixture), "--bin-half-range",
+                     "5e-324", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: bin_half_range must give 12 bins a nonzero width, "
+            "got 5e-324\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, keys", [

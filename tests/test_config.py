@@ -72,6 +72,10 @@ class TestRoundTrip:
         with pytest.raises(ParseError):
             parse_config("not_a_key = 3\n")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ParseError, match="^line 3: seed given a second time$"):
+            parse_config("seed = 1\nenlarge = 0.5\nseed = 2\n")
+
     def test_bad_value_rejected(self):
         with pytest.raises(ParseError, match="line 2: bad value for roi_points"):
             parse_config("seed = 1\nroi_points = many\n")
@@ -130,6 +134,18 @@ class TestValidation:
             parse_config("bin_half_range = 1e308\n")
         half = sys.float_info.max / 2
         assert math.isfinite(RunConfig(bin_half_range=half).bin_config().x.width)
+
+    @pytest.mark.parametrize("half_range, bins", [
+        (5e-324, 12), (1e-300, 10**300)], ids=["subnormal", "many_bins"])
+    def test_half_range_whose_bin_width_rounds_to_zero_rejected(self, half_range,
+                                                               bins):
+        message = (f"^bin_half_range must give {bins} bins a nonzero width, "
+                   f"got {half_range!r}$")
+        with pytest.raises(DomainError, match=message):
+            RunConfig(bin_half_range=half_range, bin_count_xz=bins)
+        with pytest.raises(DomainError, match=message):
+            parse_config(f"bin_half_range = {half_range!r}\n"
+                         f"bin_count_xz = {bins}\n")
 
     @pytest.mark.parametrize("field", dataclasses.fields(RunConfig),
                              ids=lambda f: f.name)

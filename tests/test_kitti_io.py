@@ -198,13 +198,28 @@ class TestLabels:
          "could not convert string to float: 'high'"),
         ("DontCare -1 -1 -10 0 0 0 0 -1 -1 -1 -1000 -1000 -1000 -10 nan",
          "score must be finite"),
-    ], ids=["3_fields", "17_fields", "word_score", "nan_score"])
+        ("DontCare -1 nan -10 0 0 0 0 -1 -1 -1 -1000 -1000 -1000 -10",
+         "occlusion must be finite"),
+    ], ids=["3_fields", "17_fields", "word_score", "nan_score",
+            "nan_occlusion"])
     def test_dontcare_row_checked_before_it_is_skipped(self, tmp_path, row,
                                                        message):
         path = tmp_path / "label.txt"
         path.write_text(CAR_LINE + "\n" + row + "\n")
         with pytest.raises(ParseError, match=(
                 rf"^{re.escape(str(path))}:2: {re.escape(message)}$")):
+            read_labels(path)
+
+    @pytest.mark.parametrize("row, column", [
+        ("Car nan 0 0 0 0 0 inf 1.5 1.6 3.9 1.0 1.0 10.0 0.1", "truncation"),
+        (CAR_LINE.replace("614.12", "inf"), "bbox_right"),
+        (CAR_LINE.replace("-1.58", "-inf"), "alpha"),
+    ], ids=["nan_truncation", "inf_bbox", "inf_alpha"])
+    def test_every_number_must_be_finite(self, tmp_path, row, column):
+        path = tmp_path / "label.txt"
+        path.write_text(CAR_LINE + "\n" + row + "\n")
+        with pytest.raises(ParseError, match=(
+                rf"^{re.escape(str(path))}:2: {column} must be finite$")):
             read_labels(path)
 
     def test_kitti_dontcare_row_parses_as_nothing(self, tmp_path):

@@ -28,6 +28,7 @@ from fuse3d import (
     total_loss,
     wrap_angle,
 )
+from fuse3d.numerics import fold
 
 
 def box(cx=0.0, cy=0.0, cz=0.0, l=1.0, h=1.0, w=1.0, yaw=0.0):
@@ -203,7 +204,7 @@ class TestBins:
             assert abs(wrap_angle(decoded - value)) < 1e-12
 
     def test_decode_rejects_bad_bin(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidCount):
             decode_bins(12, 0.0, 0.0, self.spec)
 
     def test_spec_validation(self):
@@ -223,6 +224,42 @@ class TestBins:
         # 2 * half_range is inf, and with it the width and every residual
         with pytest.raises(DomainError, match="^half_range must be finite and in"):
             BinSpec(half_range, 12)
+
+    @pytest.mark.parametrize("half_range, num_bins", [
+        (5e-324, 12), (1e-300, 10**300), (1.0, 10**400)],
+        ids=["subnormal", "many_bins", "bins_beyond_float"])
+    def test_spec_rejects_a_range_whose_width_rounds_to_zero(self, half_range,
+                                                            num_bins):
+        with pytest.raises(DomainError, match=(
+                f"^half_range must give {num_bins} bins a nonzero width, "
+                f"got {half_range!r}$")):
+            BinSpec(half_range, num_bins)
+
+    def test_smallest_width_still_encodes(self):
+        spec = BinSpec(6 * 5e-324, 12)
+        assert spec.width == 5e-324
+        index, residual = encode_bins(0.0, 0.0, spec)
+        assert 0 <= index < 12 and -0.5 <= residual < 0.5
+
+    @pytest.mark.parametrize("value, anchor, half_range", [
+        (1e308, -1e308, math.pi),
+        (-1e308, 1e308, math.pi),
+        # a finite offset whose fold overflows
+        (sys.float_info.max, 0.0, sys.float_info.max / 2),
+    ])
+    def test_wrapping_offset_that_cannot_fold_is_out_of_range(
+            self, value, anchor, half_range):
+        with pytest.raises(OutOfRange, match="^offset "):
+            encode_bins(value, anchor, BinSpec(half_range, 12, wrap=True))
+
+    def test_wrapping_offsets_fold_as_before(self):
+        spec = BinConfig().yaw
+        rng = np.random.default_rng(73)
+        for offset in [*rng.uniform(-1e6, 1e6, 200), -math.pi, math.pi, 1e300]:
+            shifted = fold(offset, math.pi) + math.pi
+            index = int(shifted // spec.width)
+            expected = (index, (shifted - (index + 0.5) * spec.width) / spec.width)
+            assert encode_bins(offset, 0.0, spec) == expected
 
     @pytest.mark.parametrize("wrap", [False, True])
     def test_largest_range_encodes_finite_residuals(self, wrap):
@@ -265,7 +302,7 @@ class TestBinCrossEntropy:
             assert bin_cross_entropy(logits, target) >= 0.0
 
     def test_bad_target_rejected(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidCount):
             bin_cross_entropy(np.zeros(4), 4)
         with pytest.raises(DimensionMismatch):
             bin_cross_entropy(np.zeros((2, 2)), 0)

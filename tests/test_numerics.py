@@ -17,9 +17,11 @@ from fuse3d import (
     Proposal,
     RunConfig,
     SyntheticSceneSpec,
+    bin_cross_entropy,
     decode_bins,
     encode_bins,
     enlarge_box,
+    farthest_point_sampling,
     finite_diff_grad,
     focal_loss,
     hybrid_sweep,
@@ -303,6 +305,49 @@ _TERMS = ("rpn_cls", "rpn_reg", "rcnn_cls", "rcnn_reg")
 
 def _total(name, value):
     return total_loss(*(value if term == name else 1.0 for term in _TERMS))
+
+
+# Every integer argument with an upper bound as well: (owner, name, low,
+# high, call with that one value changed). _CLOUD has 4 points.
+_BOUNDED_INTEGER_ARGUMENTS = [
+    ("farthest_point_sampling", "n", 1, 4,
+     lambda v: farthest_point_sampling(_CLOUD, v)),
+    ("farthest_point_sampling", "seed_index", 0, 3,
+     lambda v: farthest_point_sampling(_CLOUD, 1, v)),
+    ("hybrid_sweep", "n", 1, 4,
+     lambda v: hybrid_sweep(_CLOUD, np.full(4, 0.5), v, [1.0])),
+    # checked even when no factor asks for a sample
+    ("hybrid_sweep", "seed_index", 0, 3,
+     lambda v: hybrid_sweep(_CLOUD, np.full(4, 0.5), 1, [], v)),
+    ("decode_bins", "bin_index", 0, 11,
+     lambda v: decode_bins(v, 0.0, 0.0, BinSpec(3.0, 12))),
+    ("bin_cross_entropy", "target_bin", 0, 3,
+     lambda v: bin_cross_entropy(np.zeros(4), v)),
+]
+
+
+@pytest.mark.parametrize("owner, name, low, high, call", _BOUNDED_INTEGER_ARGUMENTS,
+                         ids=[f"{row[0]}.{row[1]}"
+                              for row in _BOUNDED_INTEGER_ARGUMENTS])
+class TestBoundedIntegerArguments:
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_outside_bounds_is_invalid_count(self, owner, name, low, high, call,
+                                             side):
+        value = low - 1 if side == "below" else high + 1
+        with pytest.raises(InvalidCount, match=(
+                rf"^{name} must be in \[{low}, {high}\], got {value}$")):
+            call(value)
+
+    def test_each_bound_passes(self, owner, name, low, high, call):
+        call(np.int64(low))
+        call(np.int64(high))
+
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_non_integer_is_invalid_count(self, owner, name, low, high, call,
+                                          value):
+        with pytest.raises(InvalidCount,
+                           match=f"^{name} must be an integer, got {value!r}$"):
+            call(value)
 
 
 # A half range is at most half the largest float, so that its search

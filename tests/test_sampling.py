@@ -503,7 +503,7 @@ class TestLambdaSweep:
     def test_sweep_rejects_more_samples_than_points(self):
         cloud, attention, _ = generate_scene(SyntheticSceneSpec(
             num_clusters=1, points_per_cluster=10, background_points=10))
-        with pytest.raises(InvalidCount, match="cannot sample 21 of 20"):
+        with pytest.raises(InvalidCount, match=r"^n must be in \[1, 20\], got 21$"):
             hybrid_sweep(cloud, attention, 21, [1.0])
 
     def test_sweep_of_no_factors_is_empty(self, standard_scene):
