@@ -51,6 +51,7 @@ class RunConfig:
                                _real(getattr(self, key), key, low, high, interval))
         object.__setattr__(self, "bin_half_range", _half_range(
             self.bin_half_range, self.bin_count_xz, "bin_half_range"))
+        _half_range(math.pi, self.bin_count_yaw, "bin_count_yaw")
 
     def bin_config(self) -> BinConfig:
         return BinConfig(

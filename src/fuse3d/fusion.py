@@ -294,9 +294,7 @@ def relative_error(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    return float(_relative_errors(a, b).max())
+    return float(_relative_errors(a, b).max(initial=0.0))
 
 
 def gradcheck(

@@ -78,9 +78,9 @@ class Box3D:
     """Oriented 3D box: center, sizes (length, height, width), yaw.
 
     Sizes lie in (0, inf) and the yaw is finite; the yaw is
-    normalized to [-pi, pi) at construction. A box with yaw
-    shifted by pi and length/width swapped describes the same cuboid;
-    the overlap operations treat the two forms identically.
+    normalized to [-pi, pi) at construction. A box with yaw shifted by
+    pi, or by pi/2 with length and width swapped, describes the same
+    cuboid; the overlap operations agree on the forms up to rounding.
     """
 
     center: np.ndarray
@@ -153,17 +153,16 @@ def bilinear_sample(feature_map, us, vs) -> np.ndarray:
                                  np.asarray(vs, dtype=np.float64))
     out = np.zeros(us.shape + (c,))
     inside = in_image_bounds(us, vs, w, h)
-    if inside.any():
-        us, vs = us[inside], vs[inside]
-        u0 = np.floor(us).astype(np.intp)
-        v0 = np.floor(vs).astype(np.intp)
-        u1 = np.minimum(u0 + 1, w - 1)
-        v1 = np.minimum(v0 + 1, h - 1)
-        du = (us - u0)[:, None]
-        dv = (vs - v0)[:, None]
-        top = (1.0 - du) * fmap[v0, u0] + du * fmap[v0, u1]
-        bottom = (1.0 - du) * fmap[v1, u0] + du * fmap[v1, u1]
-        out[inside] = (1.0 - dv) * top + dv * bottom
+    us, vs = us[inside], vs[inside]
+    u0 = np.floor(us).astype(np.intp)
+    v0 = np.floor(vs).astype(np.intp)
+    u1 = np.minimum(u0 + 1, w - 1)
+    v1 = np.minimum(v0 + 1, h - 1)
+    du = (us - u0)[:, None]
+    dv = (vs - v0)[:, None]
+    top = (1.0 - du) * fmap[v0, u0] + du * fmap[v0, u1]
+    bottom = (1.0 - du) * fmap[v1, u0] + du * fmap[v1, u1]
+    out[inside] = (1.0 - dv) * top + dv * bottom
     return out
 
 
@@ -406,27 +405,26 @@ def _intersection_area_bev(a: Box3D, b: Box3D) -> float:
     return float(_overlap_areas(corners[:1], corners[1:])[0])
 
 
+def _iou(inter, size_a, size_b):
+    """The one IoU rule, elementwise: inter / (size_a + size_b - inter),
+    clipped to 1. A zero union (both sizes underflowed to 0, and so did
+    ``inter``) divides by 1 instead, which gives 0."""
+    union = size_a + size_b - inter
+    return np.minimum(1.0, inter / (union + (union == 0.0)))
+
+
 def iou_bev(a: Box3D, b: Box3D) -> float:
     """Intersection over union of the two yaw-rotated footprints, in [0, 1]."""
-    inter = _intersection_area_bev(a, b)
-    if inter == 0.0:
-        return 0.0
-    union = a.length * a.width + b.length * b.width - inter
-    return min(1.0, inter / union)
+    return float(_iou(_intersection_area_bev(a, b), a.length * a.width,
+                      b.length * b.width))
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volume intersection over union: BEV overlap times vertical overlap."""
-    inter_area = _intersection_area_bev(a, b)
-    if inter_area == 0.0:
-        return 0.0
     lo = max(a.center[1] - a.height / 2.0, b.center[1] - b.height / 2.0)
     hi = min(a.center[1] + a.height / 2.0, b.center[1] + b.height / 2.0)
-    if hi <= lo:
-        return 0.0
-    inter_vol = inter_area * (hi - lo)
-    union = a.volume + b.volume - inter_vol
-    return min(1.0, inter_vol / union)
+    inter = _intersection_area_bev(a, b) * max(0.0, hi - lo)
+    return float(_iou(inter, a.volume, b.volume))
 
 
 def _near(cols, first, second) -> np.ndarray:
@@ -451,7 +449,7 @@ def _suppresses(cols, corners, a, b, threshold: float, scale: float) -> np.ndarr
     m = np.flatnonzero(hit)
     if m.size:
         inter = _overlap_areas(corners[a[m]], corners[b[m]])
-        hit[m] = np.minimum(1.0, inter / (ta[8, m] + tb[8, m] - inter)) > threshold
+        hit[m] = _iou(inter, ta[8, m], tb[8, m]) > threshold
     return hit
 
 

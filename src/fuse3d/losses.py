@@ -41,8 +41,8 @@ def focal_loss(c_t: float, cfg: FocalConfig = FocalConfig()) -> float:
     """Down-weighted cross entropy -alpha * (1 - c_t)^gamma * ln(c_t).
 
     ``c_t`` is the predicted probability of the true class. It must lie
-    in (0, 1] and is floored at 1e-12 before the log so the loss stays
-    finite.
+    in (0, 1], so the log is always finite; values below 1e-12 are
+    raised to 1e-12 before the log.
     """
     c_t = _real(c_t, "c_t", 0.0, 1.0, "(0, 1]")
     return float(-cfg.alpha * (1.0 - c_t) ** cfg.gamma
@@ -248,8 +248,8 @@ def regression_terms(
     """Every term of the regression objective for one box.
 
     The bin cross-entropy for x, z, and yaw, smooth-L1 summed over all
-    seven residuals, and the BEV-overlap log regularizer on the decoded
-    boxes.
+    seven residuals, and the BEV-overlap log regularizer of ``pred_box``
+    as given (nothing is decoded) against ``gt_box``.
     """
     for name, spec in (("logits_x", cfg.x), ("logits_z", cfg.z),
                        ("logits_yaw", cfg.yaw)):

@@ -60,7 +60,7 @@ def select_proposals(
     keep = _count(keep, "keep", 1)
     kept = _greedy_nms([p.box for p in proposals], [p.score for p in proposals],
                        nms_threshold, top=pre_nms_top)
-    return [proposals[i] for i in islice(kept, keep)]
+    return [proposals[i] for i in islice(kept, min(keep, len(proposals)))]
 
 
 def roi_pooled_fusion(
@@ -97,9 +97,7 @@ def roi_pooled_fusion(
     features = np.zeros((n_points, width))
     indices = np.full(n_points, -1, dtype=np.intp)
     k = int(inside.size)
-    if k:
-        features[:k] = np.hstack(
-            [cloud.coords[inside], f_img[inside], f_pt[inside], f_fused[inside]]
-        )
-        indices[:k] = inside
+    features[:k] = np.hstack([cloud.coords[inside], f_img[inside], f_pt[inside],
+                              f_fused[inside]])
+    indices[:k] = inside
     return PooledRoI(features=features, valid_count=k, indices=indices)

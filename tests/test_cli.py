@@ -466,6 +466,14 @@ class TestRoiDemo:
         assert err.startswith("usage error:") and "proposals_per_box" in err
         assert not out.exists()
 
+    def test_keep_cap_beyond_sys_maxsize_keeps_every_survivor(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["roi-demo", "--proposals-per-box", "4",
+                     "--proposals-keep", "1" + "0" * 30, "--out", str(a)]) == 0
+        assert main(["roi-demo", "--proposals-per-box", "4",
+                     "--proposals-keep", "16", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["roi-demo", "--out", str(a)])
@@ -785,6 +793,18 @@ class TestConfigHandling:
         assert capsys.readouterr().err == (
             "usage error: bin_half_range must give 12 bins a nonzero width, "
             "got 5e-324\n")
+        assert not out.exists()
+
+    def test_yaw_bin_count_beyond_the_float_range_is_usage_error(
+            self, tmp_path, capsys):
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(TestLossEval.fixture_payload()))
+        out = tmp_path / "report.json"
+        assert main(["loss-eval", "--fixture", str(fixture), "--bin-count-yaw",
+                     "1" + "0" * 400, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: bin_count_yaw must give 1000")
+        assert err.endswith(" bins a nonzero width, got 3.141592653589793\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, keys", [

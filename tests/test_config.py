@@ -147,6 +147,15 @@ class TestValidation:
             parse_config(f"bin_half_range = {half_range!r}\n"
                          f"bin_count_xz = {bins}\n")
 
+    def test_yaw_bin_count_beyond_the_float_range_rejected(self):
+        # pi split into 10**400 bins leaves each bin no width
+        message = "^bin_count_yaw must give 1(0)+ bins a nonzero width"
+        with pytest.raises(DomainError, match=message):
+            RunConfig(bin_count_yaw=10**400)
+        with pytest.raises(DomainError, match=message):
+            parse_config(f"bin_count_yaw = {10**400}\n")
+        assert RunConfig(bin_count_yaw=10**300).bin_config().yaw.width > 0.0
+
     @pytest.mark.parametrize("field", dataclasses.fields(RunConfig),
                              ids=lambda f: f.name)
     def test_numpy_scalars_are_stored_as_python_scalars(self, field):

@@ -296,6 +296,19 @@ class TestIoU:
     def test_disjoint_in_height(self):
         assert iou_3d(unit_box(), unit_box(cy=5.0)) == 0.0
 
+    def test_disjoint_boxes_whose_sizes_underflow(self):
+        # area and volume round to 0, so the union is 0 as well
+        a = unit_box(l=1e-200, h=1e-200, w=1e-200)
+        b = unit_box(cx=1.0, l=1e-200, h=1e-200, w=1e-200)
+        assert a.volume == a.length * a.width == 0.0
+        assert iou_bev(a, b) == iou_3d(a, b) == 0.0
+        assert nms([a, b], [0.9, 0.8], 0.0) == [0, 1]
+
+    def test_results_are_python_floats(self):
+        a, b = unit_box(), unit_box(cx=0.5, cy=0.5)
+        assert type(iou_bev(a, b)) is float and type(iou_3d(a, b)) is float
+        assert iou_3d(a, b) == pytest.approx(1.0 / 7.0, abs=1e-12)
+
     def test_yaw_pi_with_swapped_footprint_is_same_cuboid(self):
         a = Box3D(np.zeros(3), 2.0, 1.0, 1.0, 0.3)
         b = Box3D(np.zeros(3), 2.0, 1.0, 1.0, 0.3 + np.pi)

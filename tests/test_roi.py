@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,12 @@ class TestSelectProposals:
         props = [proposal(cx=5.0 * i, score=1.0 - 0.01 * i) for i in range(10)]
         out = select_proposals(props, keep=3)
         assert [p.score for p in out] == [1.0, 0.99, 0.98]
+
+    @pytest.mark.parametrize("keep", [sys.maxsize, sys.maxsize + 1, 10**30])
+    def test_keep_cap_beyond_the_input_passes_it_through(self, keep):
+        props = [proposal(cx=0.4 * i, score=1.0 - 0.01 * i) for i in range(10)]
+        assert (select_proposals(props, nms_threshold=0.5, keep=keep)
+                == select_proposals(props, nms_threshold=0.5, keep=len(props)))
 
     def test_pre_nms_cap_drops_low_scores_first(self):
         # only the two best enter NMS; the disjoint low scorer never does
