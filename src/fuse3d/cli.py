@@ -83,16 +83,10 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _box_to_json(box: Box3D) -> dict:
-    return {
-        "center": [float(c) for c in box.center],
-        "length": box.length,
-        "height": box.height,
-        "width": box.width,
-        "yaw": box.yaw,
-    }
+    return {**dataclasses.asdict(box), "center": box.center.tolist()}
 
 
-_BOX_KEYS = ("center", "length", "height", "width", "yaw")
+_BOX_KEYS = tuple(f.name for f in dataclasses.fields(Box3D))
 
 
 def _box_from_json(obj, name: str) -> Box3D:

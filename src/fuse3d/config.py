@@ -50,15 +50,12 @@ class RunConfig:
             object.__setattr__(self, key,
                                _real(getattr(self, key), key, low, high, interval))
         object.__setattr__(self, "bin_half_range", _half_range(
-            self.bin_half_range, self.bin_count_xz, "bin_half_range"))
-        _half_range(math.pi, self.bin_count_yaw, "bin_count_yaw")
+            self.bin_half_range, self.bin_count_xz, "bin_half_range", "bin_count_xz"))
+        _half_range(math.pi, self.bin_count_yaw, "bin_count_yaw", "bin_count_yaw")
 
     def bin_config(self) -> BinConfig:
-        return BinConfig(
-            x=BinSpec(self.bin_half_range, self.bin_count_xz),
-            z=BinSpec(self.bin_half_range, self.bin_count_xz),
-            yaw=BinSpec(math.pi, self.bin_count_yaw, wrap=True),
-        )
+        xz = BinSpec(self.bin_half_range, self.bin_count_xz)
+        return BinConfig(x=xz, z=xz, yaw=BinSpec(math.pi, self.bin_count_yaw, wrap=True))
 
 
 def parse_config(text: str) -> RunConfig:

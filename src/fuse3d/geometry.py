@@ -338,19 +338,14 @@ def _overlap_areas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the OpenPCDet ``iou3d_nms`` kernels. A pair's
     values pass only through elementwise arithmetic, maxima, stable row
     sorts and fixed-order row sums, so it gets the same bits alone or
-    inside any batch; the pairs go through in slices of _KERNEL_ROWS.
-    Overlaps at most a small share of the smaller footprint, the
-    rounding noise of touching pairs, are returned as 0.
+    inside any batch; more than _KERNEL_ROWS pairs go through in slices
+    of that many. Overlaps at most a small share of the smaller
+    footprint, the rounding noise of touching pairs, are returned as 0.
     """
-    if len(a) <= _KERNEL_ROWS:
-        return _overlap_slice(a, b)
-    return np.concatenate([_overlap_slice(a[s:s + _KERNEL_ROWS], b[s:s + _KERNEL_ROWS])
-                           for s in range(0, len(a), _KERNEL_ROWS)])
-
-
-def _overlap_slice(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The body of :func:`_overlap_areas` for one slice of pairs."""
     m = a.shape[0]
+    if m > _KERNEL_ROWS:
+        return np.concatenate([_overlap_areas(a[s:s + _KERNEL_ROWS], b[s:s + _KERNEL_ROWS])
+                               for s in range(0, m, _KERNEL_ROWS)])
     rows = np.arange(m)[:, None]
     # coordinates relative to a's center keep the products small
     o = 0.5 * (a[:, :1] + a[:, 2:3])

@@ -33,8 +33,10 @@ class FocalConfig:
     gamma: float = 2.0
 
     def __post_init__(self):
-        _real(self.alpha, "alpha", 0.0, 1.0, "(0, 1)")
-        _real(self.gamma, "gamma", 0.0, interval="[0, inf)")
+        # stored as the Python floats the checks return, as in BinSpec
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha", 0.0, 1.0, "(0, 1)"))
+        object.__setattr__(self, "gamma",
+                           _real(self.gamma, "gamma", 0.0, interval="[0, inf)"))
 
 
 def focal_loss(c_t: float, cfg: FocalConfig = FocalConfig()) -> float:
@@ -55,17 +57,23 @@ def smooth_l1(pred: float, target: float) -> float:
     return 0.5 * d * d if d < 1.0 else d - 0.5
 
 
-def _half_range(value, num_bins: int, name: str) -> float:
+def _half_range(value, num_bins: int, name: str, count_name: str) -> float:
     """``value`` as the half range of ``num_bins`` bins, else a DomainError
     naming ``name``. It lies in (0, sys.float_info.max / 2], so that the
     search range 2 * half_range, and with it every bin width and residual,
-    is finite, and the bin width must be a float above 0."""
+    is finite, and the bin width must be a float above 0. A bin count
+    beyond the float range is a DomainError naming ``count_name`` and
+    giving the count's number of digits."""
     high = sys.float_info.max / 2.0
     out = _real(value, name, 0.0, high, f"(0, {high!r}]")
     try:
         width = 2.0 * out / num_bins
-    except OverflowError:  # a bin count beyond the float range
-        width = 0.0
+    except OverflowError:
+        # log10 can be one off near a power of ten; str() refuses huge ints
+        k = int(math.log10(num_bins))
+        digits = k + 1 + (num_bins >= 10 ** (k + 1)) - (num_bins < 10 ** k)
+        raise DomainError(f"{count_name} must lie within the float range, "
+                          f"got an integer of {digits} digits") from None
     if width == 0.0:
         raise DomainError(f"{name} must give {num_bins} bins a nonzero "
                           f"width, got {value!r}")
@@ -90,7 +98,8 @@ class BinSpec:
         # float32 half range would make every width and residual float32
         object.__setattr__(self, "num_bins", _count(self.num_bins, "num_bins", 2))
         object.__setattr__(self, "half_range",
-                           _half_range(self.half_range, self.num_bins, "half_range"))
+                           _half_range(self.half_range, self.num_bins, "half_range",
+                                       "num_bins"))
 
     @property
     def width(self) -> float:

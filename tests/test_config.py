@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from fuse3d import (
+    BinSpec,
     DomainError,
+    FocalConfig,
     InvalidCount,
     ParseError,
     RunConfig,
+    SyntheticSceneSpec,
+    focal_loss,
     load_config,
     parse_config,
     subsystem_seed,
@@ -148,12 +152,14 @@ class TestValidation:
                          f"bin_count_xz = {bins}\n")
 
     def test_yaw_bin_count_beyond_the_float_range_rejected(self):
-        # pi split into 10**400 bins leaves each bin no width
-        message = "^bin_count_yaw must give 1(0)+ bins a nonzero width"
-        with pytest.raises(DomainError, match=message):
-            RunConfig(bin_count_yaw=10**400)
-        with pytest.raises(DomainError, match=message):
-            parse_config(f"bin_count_yaw = {10**400}\n")
+        # the count is at fault, so the error names it, not the half range
+        for key in ("bin_count_yaw", "bin_count_xz"):
+            message = (f"^{key} must lie within the float range, "
+                       "got an integer of 401 digits$")
+            with pytest.raises(DomainError, match=message):
+                RunConfig(**{key: 10**400})
+            with pytest.raises(DomainError, match=message):
+                parse_config(f"{key} = {10**400}\n")
         assert RunConfig(bin_count_yaw=10**300).bin_config().yaw.width > 0.0
 
     @pytest.mark.parametrize("field", dataclasses.fields(RunConfig),
@@ -170,6 +176,21 @@ class TestValidation:
     def test_out_of_range_file_value_rejected_by_parser(self):
         with pytest.raises(ValueError, match="enlarge must be finite"):
             parse_config("seed = 3\nenlarge = -0.5\n")
+
+
+def test_every_config_stores_numpy_scalars_as_python_scalars():
+    for config in (RunConfig(), SyntheticSceneSpec(), BinSpec(3.0, 12), FocalConfig()):
+        scalars = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)
+                   if type(getattr(config, f.name)) in (int, float)}
+        given = {name: (np.int64 if type(v) is int else np.float32)(v)
+                 for name, v in scalars.items()}
+        stored = dataclasses.replace(config, **given)
+        for name, value in given.items():
+            got = getattr(stored, name)
+            assert type(got) is type(scalars[name]) and got == value, name
+    # float32 constants would make the loss float32
+    focal = FocalConfig(alpha=np.float32(0.25), gamma=np.float32(2.0))
+    assert focal_loss(0.3, focal) == focal_loss(0.3, FocalConfig()) == 0.14748666852992715
 
 
 class TestSubsystemSeed:

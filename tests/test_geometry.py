@@ -1065,6 +1065,32 @@ class TestAugmentations:
                            match=r"^angle must be finite and in \(-inf, inf\)"):
             rotate_y(PointCloud(np.ones((1, 3))), angle)
 
+    def test_containment_is_invariant_under_a_rigid_motion(self):
+        # the cloud and the box turn about +y as rotate_y turns the cloud,
+        # so the yaw grows by the angle, and then move by one translation
+        spec = SyntheticSceneSpec()
+        cloud, _, gts = generate_scene(spec)
+        extent = spec.background_extent
+        # a point within a few ulps of the extent of a face may land on
+        # either side after the motion's rounding, so it is left out
+        tol = 16 * np.spacing(extent)
+        rng = np.random.default_rng(67)
+        for box in gts + [enlarge_box(b, 0.2) for b in gts]:
+            local = np.abs((cloud.coords - box.center) @ geometry.rotation_y(box.yaw))
+            half = np.array([box.length, box.height, box.width]) / 2.0
+            clear = (np.abs(local - half) > tol).all(axis=1)
+            expected = points_in_box(cloud, box)
+            assert expected.size
+            expected = expected[clear[expected]]
+            for _ in range(200):
+                angle = rng.uniform(-np.pi, np.pi)
+                shift = rng.uniform(-extent, extent, size=3)
+                moved = PointCloud(rotate_y(cloud, angle).coords + shift)
+                center = box.center @ geometry.rotation_y(angle).T + shift
+                got = points_in_box(moved, Box3D(center, box.length, box.height,
+                                                 box.width, box.yaw + angle))
+                np.testing.assert_array_equal(got[clear[got]], expected)
+
 
 class TestCropRange:
     def test_all_inside_is_identity(self):

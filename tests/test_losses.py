@@ -225,15 +225,24 @@ class TestBins:
         with pytest.raises(DomainError, match="^half_range must be finite and in"):
             BinSpec(half_range, 12)
 
-    @pytest.mark.parametrize("half_range, num_bins", [
-        (5e-324, 12), (1e-300, 10**300), (1.0, 10**400)],
+    @pytest.mark.parametrize("half_range, num_bins, message", [
+        (5e-324, 12, "half_range must give 12 bins a nonzero width, got 5e-324"),
+        (1e-300, 10**300, f"half_range must give {10**300} bins a nonzero width, "
+         "got 1e-300"),
+        # the count is at fault: it is named, with its number of digits
+        (1.0, 10**400, "num_bins must lie within the float range, "
+         "got an integer of 401 digits")],
         ids=["subnormal", "many_bins", "bins_beyond_float"])
     def test_spec_rejects_a_range_whose_width_rounds_to_zero(self, half_range,
-                                                            num_bins):
-        with pytest.raises(DomainError, match=(
-                f"^half_range must give {num_bins} bins a nonzero width, "
-                f"got {half_range!r}$")):
+                                                            num_bins, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
             BinSpec(half_range, num_bins)
+
+    @pytest.mark.parametrize("digits", [309, 400, 4300, 5000])
+    def test_count_beyond_the_float_range_gives_its_digit_count(self, digits):
+        for num_bins, expected in ((10**digits - 1, digits), (10**digits, digits + 1)):
+            with pytest.raises(DomainError, match=f"integer of {expected} digits$"):
+                BinSpec(1.0, num_bins)
 
     def test_smallest_width_still_encodes(self):
         spec = BinSpec(6 * 5e-324, 12)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import make_cloud
 from fuse3d import (
@@ -324,6 +325,31 @@ class TestHybridSample:
         # checked before the attention scores
         with pytest.raises(InvalidCount, match=re.escape(message)):
             hybrid_sweep(cloud, att[:3], cfg.n, [1.0], cfg.seed_index)
+
+    # every foreground score lies above every background score, so each
+    # factor's top n of an FPS prefix of at least n points keeps at least
+    # the foreground of FPS(n), the prefix itself at factor 1
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              phases=[p for p in Phase if p is not Phase.shrink])
+    @given(st.data())
+    def test_hybrid_keeps_at_least_the_foreground_of_fps(self, data):
+        total = data.draw(st.integers(20, 300), label="N")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        cloud = make_cloud(rng, total)
+        foreground = rng.random(total) < data.draw(st.floats(0.0, 1.0), label="share")
+        low = data.draw(st.floats(0.01, 0.49), label="background score")
+        high = data.draw(st.floats(0.51, 0.99), label="foreground score")
+        att = np.where(foreground, high, low)
+        n = data.draw(st.integers(4, total // 2), label="n")
+        lams = [1.0] + data.draw(st.lists(st.floats(1.0, total / n), max_size=4),
+                                 label="factors")
+        seed_index = data.draw(st.integers(0, total - 1), label="seed_index")
+        fps = farthest_point_sampling(cloud, n, seed_index)
+        rows = hybrid_sweep(cloud, att, n, lams, seed_index)
+        assert len(rows) == len(lams)
+        for _, picked in rows:
+            assert foreground[picked].sum() >= foreground[fps].sum()
+        assert set(rows[0][1].tolist()) == set(fps.tolist())
 
     def test_tied_scores_rank_toward_lower_index(self):
         rng = np.random.default_rng(47)
