@@ -31,6 +31,15 @@ _NEXT24 = np.roll(np.arange(24), -1)
 # A Python float, so that strip edges stay Python floats (bisect and the
 # FPS loop compare and add them faster than numpy scalars).
 _TINY = float(np.finfo(np.float64).tiny)
+# Box sizes lie in this closed range. It keeps every product the IoU
+# functions form finite and normal: volumes (1e-150 to 1e150), the
+# overlap kernel's products of two coordinate differences and its side
+# tolerance (1e-12 times a squared extent, at least 1e-112), and the
+# NMS bound's e^2 / h (at most about 4e150; see there). So no area,
+# volume or union is 0.
+_SIZE_MIN = 1e-50
+_SIZE_MAX = 1e50
+_SIZE_RANGE = f"[{_SIZE_MIN!r}, {_SIZE_MAX!r}]"
 # Greedy NMS settles the score order in blocks of this many live boxes.
 _NMS_BLOCK = 64
 # The overlap kernel takes its pairs in slices of this many, which keeps
@@ -77,7 +86,9 @@ class PointCloud:
 class Box3D:
     """Oriented 3D box: center, sizes (length, height, width), yaw.
 
-    Sizes lie in (0, inf) and the yaw is finite; the yaw is
+    Sizes lie in [1e-50, 1e50], where every area, volume and overlap
+    product the IoU functions form is finite and nonzero; a size outside
+    it is a DomainError naming the size. The yaw is finite and is
     normalized to [-pi, pi) at construction. A box with yaw shifted by
     pi, or by pi/2 with length and width swapped, describes the same
     cuboid; the overlap operations agree on the forms up to rounding.
@@ -91,9 +102,9 @@ class Box3D:
 
     def __post_init__(self):
         self.center = checked_array(self.center, "box center", (3,), finite=True)
-        self.length = _real(self.length, "length", 0.0, interval="(0, inf)")
-        self.height = _real(self.height, "height", 0.0, interval="(0, inf)")
-        self.width = _real(self.width, "width", 0.0, interval="(0, inf)")
+        self.length = _real(self.length, "length", _SIZE_MIN, _SIZE_MAX, _SIZE_RANGE)
+        self.height = _real(self.height, "height", _SIZE_MIN, _SIZE_MAX, _SIZE_RANGE)
+        self.width = _real(self.width, "width", _SIZE_MIN, _SIZE_MAX, _SIZE_RANGE)
         self.yaw = fold(_real(self.yaw, "yaw"), np.pi)
 
     @property
@@ -232,7 +243,7 @@ def _x_reach(radius: float, pad: float) -> float:
 # suppress. In floating point (u = 2**-53) the bound is compared with
 # what the kernel computes, for a pair that passed the circumradius gate
 # (center distance <= e = ra + rb), with h its shortest half side and X
-# the largest center coordinate of the set:
+# the largest |x| and |z| of its two centers:
 # - Every vertex the kernel sums lies in both footprints grown by
 #   g0 = 2e-12 e^2 / h + a few u (X + e) in each half side. A corner
 #   counts as inside the other footprint up to tol / edge length
@@ -253,19 +264,25 @@ def _x_reach(radius: float, pad: float) -> float:
 #   t = threshold (1 - 1e-6), has a kernel IoU below the threshold. The
 #   denominator is positive there, since ov > 0. The 1e-6 is spare: the
 #   argument above needs only t <= threshold.
-# All of this holds while the squares of the sizes do not underflow.
+# All of this holds for the sizes Box3D accepts, [_SIZE_MIN, _SIZE_MAX]:
+# e^2 stays normal, and e^2 / h and (e + 2g)^2 finite while X is below
+# 1e160. Past that every corner of the pair rounds onto its center, so
+# the kernel's overlap is 0 whatever the bound says. X is the pair's
+# own, so that a far box elsewhere in the set cannot overflow the bound
+# of a near pair (at threshold 0 an overflowed bound clears the pair).
 
 
-def _iou_may_exceed(ta, tb, threshold: float, scale: float) -> np.ndarray:
+def _iou_may_exceed(ta, tb, threshold: float) -> np.ndarray:
     """False where the bound above shows a pair's IoU <= ``threshold``.
 
     ``ta`` and ``tb`` hold the pairs' columns of the _footprints table,
-    (10, P) each, and ``scale`` bounds every center coordinate.
+    (10, P) each.
     """
     xa, za, la, wa, ca, _, sa, _, area_a, ra = ta
     xb, zb, lb, wb, cb, _, sb, _, area_b, rb = tb
     e = ra + rb
-    grow = 1e-9 * (e + scale) + 1e-11 * e * e / np.minimum(
+    x_max = np.maximum(np.abs(ta[:2]), np.abs(tb[:2])).max(axis=0)
+    grow = 1e-9 * (e + x_max) + 1e-11 * e * e / np.minimum(
         np.minimum(la, wa), np.minimum(lb, wb))
     la, wa, lb, wb = la + grow, wa + grow, lb + grow, wb + grow
     # b's center and bounding rectangle in a's local axes
@@ -402,10 +419,9 @@ def _intersection_area_bev(a: Box3D, b: Box3D) -> float:
 
 def _iou(inter, size_a, size_b):
     """The one IoU rule, elementwise: inter / (size_a + size_b - inter),
-    clipped to 1. A zero union (both sizes underflowed to 0, and so did
-    ``inter``) divides by 1 instead, which gives 0."""
-    union = size_a + size_b - inter
-    return np.minimum(1.0, inter / (union + (union == 0.0)))
+    clipped to 1. Box3D's size range keeps every size positive, and the
+    union is at least the larger size up to rounding, so it is never 0."""
+    return np.minimum(1.0, inter / (size_a + size_b - inter))
 
 
 def iou_bev(a: Box3D, b: Box3D) -> float:
@@ -433,14 +449,14 @@ def _near(cols, first, second) -> np.ndarray:
                    r[first, None], r[second])
 
 
-def _suppresses(cols, corners, a, b, threshold: float, scale: float) -> np.ndarray:
+def _suppresses(cols, corners, a, b, threshold: float) -> np.ndarray:
     """Mask of the pairs (a[k], b[k]) whose BEV IoU exceeds ``threshold``.
 
     Pairs the bound clears skip the kernel; the rest go to one kernel
     call, which gives each pair the bits of ``iou_bev(box a, box b)``.
     """
     ta, tb = cols[:, a], cols[:, b]
-    hit = _iou_may_exceed(ta, tb, threshold, scale)
+    hit = _iou_may_exceed(ta, tb, threshold)
     m = np.flatnonzero(hit)
     if m.size:
         inter = _overlap_areas(corners[a[m]], corners[b[m]])
@@ -464,25 +480,38 @@ def _greedy_nms(boxes, scores, iou_threshold: float, top=None):
     box. Before each call the circumradius gate and the IoU bound drop
     pairs that cannot suppress; the kernel gives every other pair, the
     earlier box first, the same bits as :func:`iou_bev`, so the picks
-    are those of greedy NMS testing one kept box at a time.
+    are those of greedy NMS testing one kept box at a time. Footprints
+    are built per block, when the loop reaches it, and for every
+    remaining box before the first apply step, so a caller that stops
+    within the first blocks builds only theirs.
     """
     scores = checked_array(scores, "scores", (len(boxes),), finite=True)
     iou_threshold = _real(iou_threshold, "iou_threshold", 0.0, 1.0, "[0, 1]")
     order = np.argsort(-scores, kind="stable")[:top]
-    rows, corners = _footprints([boxes[i] for i in order])
-    cols = np.ascontiguousarray(rows.T)
-    scale = float(np.abs(rows[:, :2]).max(initial=0.0))
+    cols = np.empty((10, len(order)))
+    corners = np.empty((len(order), 4, 2))
+    built = 0
+
+    def build(stop):
+        # fill the footprint rows of positions [built, stop) of the order
+        nonlocal built
+        if stop > built:
+            rows, block_corners = _footprints([boxes[i] for i in order[built:stop]])
+            cols[:, built:stop], corners[built:stop] = rows.T, block_corners
+            built = stop
+
     live = np.arange(len(order))
     pending = live[:0]
     while live.size:
         block, live = live[:_NMS_BLOCK], live[_NMS_BLOCK:]
+        build(int(block[-1]) + 1)
         k, n = block.size, pending.size
         # rows: the pending kept boxes, then the block; columns: the block
         first = np.concatenate([pending, block])
         near = _near(cols, first, block)
         near[n:] = np.triu(near[n:], 1)  # in the block, only p before q
         i, j = np.nonzero(near)
-        hit = _suppresses(cols, corners, first[i], block[j], iou_threshold, scale)
+        hit = _suppresses(cols, corners, first[i], block[j], iou_threshold)
         beaten = np.zeros((n + k, k), dtype=bool)
         beaten[i[hit], j[hit]] = True
         dead = beaten[:n].any(axis=0)
@@ -494,8 +523,9 @@ def _greedy_nms(boxes, scores, iou_threshold: float, top=None):
                 dead |= beaten[n + p]
         pending = np.concatenate([pending, block[picks]])
         if pending.size >= _NMS_BLOCK and live.size:
+            build(len(order))
             i, j = np.nonzero(_near(cols, pending, live))
-            hit = _suppresses(cols, corners, pending[i], live[j], iou_threshold, scale)
+            hit = _suppresses(cols, corners, pending[i], live[j], iou_threshold)
             live = np.delete(live, j[hit])
             pending = pending[:0]
 

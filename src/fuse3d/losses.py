@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, OutOfRange
 from .geometry import Box3D, iou_bev
-from .numerics import _count, _real, checked_array, fold
+from .numerics import _count, _int_text, _real, checked_array, fold
 
 _PROB_FLOOR = 1e-12
 _IOU_FLOOR = 1e-6
@@ -69,11 +69,8 @@ def _half_range(value, num_bins: int, name: str, count_name: str) -> float:
     try:
         width = 2.0 * out / num_bins
     except OverflowError:
-        # log10 can be one off near a power of ten; str() refuses huge ints
-        k = int(math.log10(num_bins))
-        digits = k + 1 + (num_bins >= 10 ** (k + 1)) - (num_bins < 10 ** k)
         raise DomainError(f"{count_name} must lie within the float range, "
-                          f"got an integer of {digits} digits") from None
+                          f"got {_int_text(num_bins)}") from None
     if width == 0.0:
         raise DomainError(f"{name} must give {num_bins} bins a nonzero "
                           f"width, got {value!r}")
@@ -167,7 +164,11 @@ def bin_cross_entropy(logits, target_bin: int) -> float:
     l = checked_array(logits, "logits", ("C",), finite=True)
     if l.size == 0:
         raise DimensionMismatch(f"logits must be non-empty 1-D, got {l.shape}")
-    target_bin = _count(target_bin, "target_bin", 0, l.size - 1)
+    return _nll(l, _count(target_bin, "target_bin", 0, l.size - 1))
+
+
+def _nll(l: np.ndarray, target_bin: int) -> float:
+    """Softmax negative log-likelihood of a checked bin of checked logits."""
     m = float(l.max())
     lse = m + math.log(float(np.exp(l - m).sum()))
     return float(lse - l[target_bin])
@@ -260,17 +261,18 @@ def regression_terms(
     seven residuals, and the BEV-overlap log regularizer of ``pred_box``
     as given (nothing is decoded) against ``gt_box``.
     """
-    for name, spec in (("logits_x", cfg.x), ("logits_z", cfg.z),
-                       ("logits_yaw", cfg.yaw)):
-        checked_array(getattr(pred, name), name, (spec.num_bins,))
+    # each logits vector is checked once, here, and not again in _nll
+    ce_x, ce_z, ce_yaw = (
+        _nll(checked_array(logits, name, (spec.num_bins,), finite=True),
+             _count(target_bin, "target_bin", 0, spec.num_bins - 1))
+        for logits, name, spec, target_bin in (
+            (pred.logits_x, "logits_x", cfg.x, target.bin_x),
+            (pred.logits_z, "logits_z", cfg.z, target.bin_z),
+            (pred.logits_yaw, "logits_yaw", cfg.yaw, target.bin_yaw)))
     return RegressionTerms(
-        ce_x=bin_cross_entropy(pred.logits_x, target.bin_x),
-        ce_z=bin_cross_entropy(pred.logits_z, target.bin_z),
-        ce_yaw=bin_cross_entropy(pred.logits_yaw, target.bin_yaw),
-        smooth_l1_sum=sum(
-            smooth_l1(float(pred.residuals[i]), float(target.residuals[i]))
-            for i in range(7)
-        ),
+        ce_x, ce_z, ce_yaw,
+        smooth_l1_sum=sum(smooth_l1(p, t) for p, t in zip(
+            pred.residuals.tolist(), target.residuals.tolist(), strict=True)),
         iou_regularizer=iou_reg_loss(pred_box, gt_box),
     )
 

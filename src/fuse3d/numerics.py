@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from typing import Callable
 
 import numpy as np
@@ -44,6 +45,19 @@ def checked_array(value, name: str, shape=None, finite: bool = False) -> np.ndar
     return out
 
 
+def _int_text(value: int) -> str:
+    """``value`` for a message: in full within the float range, else by
+    its digit count, "an integer of 5001 digits" ("a negative integer"
+    below 0). str() refuses integers of over 4300 digits; log10 does not,
+    but can be one off near a power of ten."""
+    n = abs(value)
+    if n <= sys.float_info.max:
+        return str(value)
+    k = int(math.log10(n))
+    digits = k + 1 + (n >= 10 ** (k + 1)) - (n < 10 ** k)
+    return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+
+
 def _count(value, name: str, low: int | None = None,
            high: int | None = None) -> int:
     """``value`` as an int of at least ``low`` and, when ``high`` is given
@@ -52,7 +66,8 @@ def _count(value, name: str, low: int | None = None,
     non-integer is an InvalidCount naming ``name``, and so is an integer
     below ``low``, "{name} must be >= {low}, got {value}", or with
     ``high`` outside [low, high], "{name} must be in [{low}, {high}], got
-    {value}"."""
+    {value}"; an integer beyond the float range shows as its digit count
+    (see :func:`_int_text`)."""
     if not isinstance(value, bool):
         try:
             out = operator.index(value)
@@ -60,9 +75,10 @@ def _count(value, name: str, low: int | None = None,
             pass
         else:
             if high is not None and not low <= out <= high:
-                raise InvalidCount(f"{name} must be in [{low}, {high}], got {out}")
+                raise InvalidCount(
+                    f"{name} must be in [{low}, {high}], got {_int_text(out)}")
             if low is not None and out < low:
-                raise InvalidCount(f"{name} must be >= {low}, got {out}")
+                raise InvalidCount(f"{name} must be >= {low}, got {_int_text(out)}")
             return out
     raise InvalidCount(f"{name} must be an integer, got {value!r}")
 

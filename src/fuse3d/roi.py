@@ -97,7 +97,7 @@ def roi_pooled_fusion(
     features = np.zeros((n_points, width))
     indices = np.full(n_points, -1, dtype=np.intp)
     k = int(inside.size)
-    features[:k] = np.hstack([cloud.coords[inside], f_img[inside], f_pt[inside],
-                              f_fused[inside]])
+    features[:k] = np.concatenate([cloud.coords[inside], f_img[inside], f_pt[inside],
+                                   f_fused[inside]], axis=1)
     indices[:k] = inside
     return PooledRoI(features=features, valid_count=k, indices=indices)

@@ -136,11 +136,14 @@ class TestTypes:
             unit_box(l=0.0)
 
     @pytest.mark.parametrize("size", [{"l": np.inf}, {"h": np.nan}, {"w": np.inf},
-                                      {"w": -1.0}])
+                                      {"w": -1.0}, {"l": 1e300}, {"w": 1e-200},
+                                      {"h": 1.5e308},
+                                      {"l": math.nextafter(1e50, math.inf)},
+                                      {"h": math.nextafter(1e-50, 0.0)}])
     def test_box_rejects_nonfinite_sizes(self, size):
         (key, value), = size.items()
         name = {"l": "length", "h": "height", "w": "width"}[key]
-        message = f"{name} must be finite and in (0, inf), got {value!r}"
+        message = f"{name} must be finite and in [1e-50, 1e+50], got {value!r}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             unit_box(**size)
 
@@ -297,12 +300,28 @@ class TestIoU:
         assert iou_3d(unit_box(), unit_box(cy=5.0)) == 0.0
 
     def test_disjoint_boxes_whose_sizes_underflow(self):
-        # area and volume round to 0, so the union is 0 as well
-        a = unit_box(l=1e-200, h=1e-200, w=1e-200)
-        b = unit_box(cx=1.0, l=1e-200, h=1e-200, w=1e-200)
-        assert a.volume == a.length * a.width == 0.0
+        # sides whose area and volume would round to 0 are refused, so
+        # no union is 0; the smallest sides keep both normal
+        with pytest.raises(DomainError, match=r"^length must be finite and in "):
+            unit_box(l=1e-200, h=1e-200, w=1e-200)
+        a = unit_box(l=1e-50, h=1e-50, w=1e-50)
+        b = unit_box(cx=1.0, l=1e-50, h=1e-50, w=1e-50)
+        assert a.volume == 1e-50 ** 3 > 0.0
         assert iou_bev(a, b) == iou_3d(a, b) == 0.0
         assert nms([a, b], [0.9, 0.8], 0.0) == [0, 1]
+
+    @pytest.mark.parametrize("side", [1e-50, 1e-20, 1.0, 1e20, 1e50])
+    def test_identical_boxes_at_the_ends_of_the_size_range(self, side):
+        # the pairs the size range refuses (sides 1e300 and 1e-200)
+        # gave 0.0; every accepted side gives its IoU of 1
+        a = unit_box(l=side, h=side, w=side, yaw=0.3)
+        b = unit_box(l=side, h=side, w=side, yaw=0.3)
+        assert iou_bev(a, b) == pytest.approx(1.0, rel=1e-12)
+        assert iou_3d(a, b) == pytest.approx(1.0, rel=1e-12)
+        half = unit_box(cx=0.5 * side, l=side, h=side, w=side)
+        assert iou_bev(unit_box(l=side, h=side, w=side), half) == pytest.approx(
+            1.0 / 3.0, rel=1e-12)
+        assert nms([a, b], [0.9, 0.8], 0.5) == [0]
 
     def test_results_are_python_floats(self):
         a, b = unit_box(), unit_box(cx=0.5, cy=0.5)
@@ -688,6 +707,45 @@ class TestBlockedNms:
         assert 128 not in kept  # the twin of box 5
         assert kept[70:] == list(range(129, 139)) + [n - 1]
 
+    def test_rows_built_per_block_then_all_before_applying(self, monkeypatch):
+        # by score: two blocks of 32 boxes, each followed by a near twin
+        # it suppresses at 0.8, so 64 kept boxes are pending after block
+        # 2 and every remaining footprint row is built before they are
+        # applied. Twins of early boxes follow, for the apply step to
+        # drop, then boxes 5 km out, so the bound's scale grows only
+        # with the rows built for the apply step
+        rng = np.random.default_rng(45)
+        yaws = rng.uniform(-np.pi, np.pi, 64)
+
+        def cell(k, offset=0.0, turn=0.0):
+            center = np.array([offset + 20.0 * (k % 8), 0.0, offset + 20.0 * (k // 8)])
+            return Box3D(center, 4.0, 1.5, 1.8, yaws[k] + turn)
+
+        def twin(b, d=0.01):
+            return Box3D(b.center + d, b.length, b.height, b.width, b.yaw + d)
+
+        boxes = [b for k in range(64) for b in (cell(k), twin(cell(k)))]
+        boxes += [twin(cell(k), 0.02) for k in range(0, 64, 4)]
+        boxes += [b for k in range(48) for b in (cell(k, 5000.0), twin(cell(k, 5000.0)))]
+        boxes += [cell(k, 5000.0, np.pi / 4) for k in range(8)]
+        scores = list(1.0 - 0.001 * np.arange(len(boxes)))
+        iou = table_iou(boxes)
+        rows = []
+        footprints = geometry._footprints
+
+        def counting(some):
+            rows.append(len(some))
+            return footprints(some)
+        monkeypatch.setattr(geometry, "_footprints", counting)
+        for threshold in (0.0, 0.3, 0.8, 1.0):
+            rows.clear()
+            kept = nms(boxes, scores, threshold)
+            assert kept == brute_nms(boxes, scores, threshold, iou)
+            if threshold == 0.8:
+                assert rows == [64, 64, len(boxes) - 128]
+                assert len(kept) > 64 and kept[:64] == list(range(0, 128, 2))
+                assert not set(range(128, 144)) & set(kept)
+
     def test_touching_and_edge_sharing_boxes(self):
         boxes = touching_boxes()
         rng = np.random.default_rng(41)
@@ -743,16 +801,15 @@ class TestBlockedNms:
         rows_b, corners_b = _footprints([b for _, b in pairs])
         inter = _overlap_areas(corners_a, corners_b)
         iou = np.minimum(1.0, inter / (rows_a[:, 8] + rows_b[:, 8] - inter))
-        scale = max(np.abs(rows_a[:, :2]).max(), np.abs(rows_b[:, :2]).max())
         hit = iou > 0.0
         assert hit.sum() > 5000
         # a threshold one ulp below the kernel's IoU, with the spare
         # margin taken back out: the bound alone must let each pair pass
         threshold = np.nextafter(iou[hit], 0.0) / (1.0 - 1e-6)
-        assert _iou_may_exceed(rows_a[hit].T, rows_b[hit].T, threshold, scale).all()
+        assert _iou_may_exceed(rows_a[hit].T, rows_b[hit].T, threshold).all()
         # and it is not vacuous: at 0.8 it clears most pairs below it
         below = iou < 0.8
-        cleared = ~_iou_may_exceed(rows_a[below].T, rows_b[below].T, 0.8, scale)
+        cleared = ~_iou_may_exceed(rows_a[below].T, rows_b[below].T, 0.8)
         assert cleared.mean() > 0.5
         # the smaller area caps the bound: a thin box turned inside a
         # square has a bounding rectangle of nearly the whole square
@@ -760,7 +817,27 @@ class TestBlockedNms:
         thin = unit_box(l=5.0, w=0.3, yaw=np.pi / 4)
         assert iou_bev(square, thin) == pytest.approx(1.5 / 16.0)
         rows = _footprints([square, thin])[0]
-        assert not _iou_may_exceed(rows[:1].T, rows[1:].T, 0.1, 0.0).any()
+        assert not _iou_may_exceed(rows[:1].T, rows[1:].T, 0.1).any()
+
+        # each pair's bound uses its own centers: a box far out elsewhere
+        # in the set leaves it as tight
+        far = unit_box(cx=1e300)
+        rows = _footprints([square, thin, far])[0]
+        assert not _iou_may_exceed(rows[:1].T, rows[1:2].T, 0.1).any()
+
+    @pytest.mark.parametrize("far", [1e100, 1e200, 1e300, -1.7e308])
+    def test_a_far_box_leaves_the_other_pairs_alone(self, far):
+        # with one bound for the whole set, a box past 1e163 made every
+        # pair's bound overflow, and at threshold 0 the comparison with
+        # the overflowed bound cleared pairs that overlap
+        a = unit_box(l=4.0, w=1.8, yaw=0.1)
+        b = unit_box(cx=0.5, l=4.0, w=1.8, yaw=0.2)
+        c = unit_box(cx=far, cz=far, l=4.0, w=1.8)
+        assert iou_bev(a, b) > 0.5
+        for threshold in (0.0, 0.5):
+            for boxes, kept in (([a, b, c], [0, 2]), ([c, a, b], [0, 1])):
+                with np.errstate(over="ignore"):  # the gate squares 1e300
+                    assert nms(boxes, [0.9, 0.8, 0.7], threshold) == kept
 
 
 @st.composite

@@ -251,6 +251,7 @@ class TestLabels:
         (-1, "nan"), (-1, "inf"), (-1, "-inf"),  # yaw
         (-2, "nan"),                               # z of the location
         (10, "0"), (8, "-1.5"), (9, "inf"),        # l, h, w
+        (10, "1e60"), (8, "1e-60"),                # outside Box3D's range
     ])
     def test_bad_box_value_names_file_and_line(self, tmp_path, field, value):
         parts = CAR_LINE.split()

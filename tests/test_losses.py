@@ -441,6 +441,45 @@ class TestRegressionLoss:
             + terms.smooth_l1_sum + terms.iou_regularizer)
         assert isinstance(terms.total, float)
 
+    @staticmethod
+    def standalone_terms(pred, target, pred_box, gt):
+        """The breakdown from the one-term functions, each residual read
+        as a numpy scalar: the definition every term must keep, bit for
+        bit."""
+        return RegressionTerms(
+            ce_x=bin_cross_entropy(pred.logits_x, target.bin_x),
+            ce_z=bin_cross_entropy(pred.logits_z, target.bin_z),
+            ce_yaw=bin_cross_entropy(pred.logits_yaw, target.bin_yaw),
+            smooth_l1_sum=sum(
+                smooth_l1(float(pred.residuals[i]), float(target.residuals[i]))
+                for i in range(7)),
+            iou_regularizer=iou_reg_loss(pred_box, gt))
+
+    def test_terms_bit_equal_the_standalone_terms(self):
+        # the loss-eval fixture of tests/test_cli.py, then 1000 random
+        # pairs with logits from flat to peaked
+        rng = np.random.default_rng(76)
+        gt = anchor = box()
+        cases = [(gt, anchor, box(cx=0.5), np.zeros((3, 12)), np.zeros(7))]
+        for _ in range(1000):
+            gt = box(*rng.uniform(-20.0, 20.0, 3), *rng.uniform(0.5, 5.0, 3),
+                     rng.uniform(-np.pi, np.pi))
+            anchor, pred_box = (
+                Box3D(gt.center + rng.uniform(-2.9, 2.9, 3),
+                      *(np.array([gt.length, gt.height, gt.width])
+                        * rng.uniform(0.7, 1.3, 3)),
+                      gt.yaw + rng.normal(0.0, 1.0)) for _ in range(2))
+            cases.append((gt, anchor, pred_box,
+                          rng.normal(size=(3, 12)) * rng.choice([0.1, 1.0, 30.0]),
+                          rng.normal(size=7) * rng.choice([0.1, 1.0, 10.0])))
+        for gt, anchor, pred_box, logits, residuals in cases:
+            target = encode_box_target(gt, anchor, self.cfg)
+            pred = RegressionPrediction(*logits, residuals)
+            got = regression_terms(pred, target, pred_box, gt, self.cfg)
+            expected = self.standalone_terms(pred, target, pred_box, gt)
+            assert [float.hex(v) for v in vars(got).values()] == [
+                float.hex(v) for v in vars(expected).values()]
+
     def test_termwise_monotonicity(self):
         gt = box(cx=1.3, cz=-0.7, yaw=0.4)
         anchor = box(cx=1.0, cz=0.0, yaw=0.3)
@@ -455,15 +494,29 @@ class TestRegressionLoss:
         worse_box = box(cx=1.8, cz=-0.7, l=1.0, yaw=0.4)
         assert regression_loss(pred, target, worse_box, gt, self.cfg) > base
 
-    def test_logits_length_checked(self):
+    @pytest.mark.parametrize("name", ["logits_x", "logits_z", "logits_yaw"])
+    def test_logits_length_checked(self, name):
         gt, anchor = box(), box()
         target = encode_box_target(gt, anchor, self.cfg)
-        pred = RegressionPrediction(
-            logits_x=np.zeros(11), logits_z=np.zeros(12),
-            logits_yaw=np.zeros(12), residuals=np.zeros(7),
-        )
-        with pytest.raises(DimensionMismatch):
+        logits = {"logits_x": np.zeros(12), "logits_z": np.zeros(12),
+                  "logits_yaw": np.zeros(12), name: np.zeros(11)}
+        pred = RegressionPrediction(**logits, residuals=np.zeros(7))
+        message = rf"^{name} must have shape \(12,\), got \(11,\)$"
+        with pytest.raises(DimensionMismatch, match=message):
             regression_loss(pred, target, gt, gt, self.cfg)
+        with pytest.raises(DimensionMismatch, match=message):
+            regression_terms(pred, target, gt, gt, self.cfg)
+
+    @pytest.mark.parametrize("name", ["logits_x", "logits_z", "logits_yaw"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_logits_made_nonfinite_after_construction_rejected(self, name, value):
+        gt, anchor = box(), box()
+        target = encode_box_target(gt, anchor, self.cfg)
+        pred = RegressionPrediction(logits_x=np.zeros(12), logits_z=np.zeros(12),
+                                    logits_yaw=np.zeros(12), residuals=np.zeros(7))
+        getattr(pred, name)[3] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            regression_terms(pred, target, gt, gt, self.cfg)
 
     @pytest.mark.parametrize("shape", [(6,), (8,), (1, 7)])
     def test_residuals_of_wrong_shape_rejected(self, shape):

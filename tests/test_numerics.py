@@ -39,7 +39,7 @@ from fuse3d import (
     wrap_angle,
 )
 from fuse3d.cli import _build_parser, cmd_gradcheck
-from fuse3d.numerics import _real, checked_array
+from fuse3d.numerics import _count, _real, checked_array
 
 from oracles import scalar_finite_diff_grad
 
@@ -350,6 +350,26 @@ class TestBoundedIntegerArguments:
             call(value)
 
 
+class TestIntegerBeyondTheFloatRange:
+    # str() refuses integers of more than 4300 digits, and one of a few
+    # hundred would fill the message, so past the float range the
+    # message gives the digit count
+    @pytest.mark.parametrize("digits", [309, 400, 4300, 5000])
+    def test_message_gives_the_digit_count(self, digits):
+        for value, expected in ((10**digits - 1, digits), (10**digits, digits + 1)):
+            with pytest.raises(InvalidCount, match=(
+                    rf"^n must be in \[1, 10\], got an integer of {expected} digits$")):
+                _count(value, "n", 1, 10)
+            with pytest.raises(InvalidCount, match=(
+                    f"^pre_nms_top must be >= 1, got a negative integer of "
+                    f"{expected} digits$")):
+                RunConfig(pre_nms_top=-value)
+
+    def test_integer_within_the_float_range_shows_in_full(self):
+        with pytest.raises(InvalidCount, match=f"^n must be >= 1, got -{10**308}$"):
+            _count(-10**308, "n", 1)
+
+
 # A half range is at most half the largest float, so that its search
 # range, twice it, is finite.
 _HALF_RANGE = f"(0, {sys.float_info.max / 2!r}]"
@@ -358,7 +378,7 @@ _HALF_RANGE = f"(0, {sys.float_info.max / 2!r}]"
 # interval, a value inside it, call with that one value changed).
 _REAL_ARGUMENTS = [
     ("wrap_angle", "theta", "(-inf, inf)", 0.5, wrap_angle),
-    *(("Box3D", key, "(0, inf)", 1.5, lambda v, key=key: _box(**{key: v}))
+    *(("Box3D", key, "[1e-50, 1e+50]", 1.5, lambda v, key=key: _box(**{key: v}))
       for key in ("length", "height", "width")),
     ("Box3D", "yaw", "(-inf, inf)", 0.5, lambda v: _box(yaw=v)),
     ("nms", "iou_threshold", "[0, 1]", 0.5, lambda v: nms([_box()], [1.0], v)),

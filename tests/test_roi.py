@@ -36,6 +36,18 @@ def count_kernel_calls(monkeypatch) -> list:
     return calls
 
 
+def count_footprint_rows(monkeypatch) -> list:
+    """Record the box count of every footprint build from now on."""
+    rows = []
+    footprints = geometry._footprints
+
+    def counting(boxes):
+        rows.append(len(boxes))
+        return footprints(boxes)
+    monkeypatch.setattr(geometry, "_footprints", counting)
+    return rows
+
+
 def feature_set(rng, n, c_img=2, c_pt=3, c_fused=4):
     return (
         rng.standard_normal((n, c_img)),
@@ -169,14 +181,19 @@ class TestSelectProposals:
             twin = Box3D(center + 0.01, 4.0, 1.5, 1.8, yaw + 0.01)
             props += [Proposal(box, 1.0 - 0.01 * k), Proposal(twin, 0.995 - 0.01 * k)]
         calls = count_kernel_calls(monkeypatch)
+        rows = count_footprint_rows(monkeypatch)
         out = select_proposals(props, keep=64)
         assert [id(p) for p in out] == [id(props[2 * k]) for k in range(64)]
         assert calls == [32, 32]  # one call per block, none applying the kept
+        assert rows == [64, 64]  # footprints of the two blocks read
         calls.clear()
+        rows.clear()
         out = select_proposals(props, keep=65)
         # the apply call tests the 64 kept boxes against the 16 later
         # ones and drops none of them; then the third block's call
         assert calls == [32, 32, 16, 8]
+        # the 16 remaining rows are built before the apply step
+        assert rows == [64, 64, 16]
         assert [id(p) for p in out] == [id(props[2 * k]) for k in range(65)]
 
     def test_frame_style_8000_to_64(self, monkeypatch):
@@ -194,9 +211,12 @@ class TestSelectProposals:
             box = Box3D(gt.center + offset, l, h, w, gt.yaw + rng.normal(0.0, 0.15))
             props.append(Proposal(box, rng.uniform(0.05, 0.95)))
         calls = count_kernel_calls(monkeypatch)
+        rows = count_footprint_rows(monkeypatch)
         out = select_proposals(props, pre_nms_top=8000, nms_threshold=0.8, keep=64)
         assert len(out) == 64
         assert len(calls) <= 3
+        # footprints are built per block: at most the two blocks read
+        assert sum(rows) <= 2 * geometry._NMS_BLOCK
         monkeypatch.undo()
         kept = nms([p.box for p in props], [p.score for p in props], 0.8)
         assert [id(p) for p in out] == [id(props[k]) for k in kept[:64]]
