@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
+from .geometry import _SIZE_MAX
 from .losses import BinConfig, BinSpec, _half_range
 from .numerics import _count, _real
 
@@ -44,7 +45,7 @@ class RunConfig:
             object.__setattr__(self, key, _count(getattr(self, key), key, low))
         for key, low, high, interval in (
                 ("nms_threshold", 0.0, 1.0, "[0, 1]"),
-                ("enlarge", 0.0, math.inf, "[0, inf)"),
+                ("enlarge", 0.0, _SIZE_MAX, f"[0, {_SIZE_MAX!r}]"),
                 ("focal_alpha", 0.0, 1.0, "(0, 1)"),
                 ("focal_gamma", 0.0, math.inf, "[0, inf)")):
             object.__setattr__(self, key,

@@ -242,34 +242,31 @@ def _x_reach(radius: float, pad: float) -> float:
 # with I, so a pair whose bound gives an IoU <= threshold cannot
 # suppress. In floating point (u = 2**-53) the bound is compared with
 # what the kernel computes, for a pair that passed the circumradius gate
-# (center distance <= e = ra + rb), with h its shortest half side and X
-# the largest |x| and |z| of its two centers:
+# (center distance <= e = ra + rb), with h its shortest half side, in
+# the pair's own frame: a's center at the origin, b's at the rounded
+# center differences that the gate, the bound and the kernel share.
 # - Every vertex the kernel sums lies in both footprints grown by
-#   g0 = 2e-12 e^2 / h + a few u (X + e) in each half side. A corner
-#   counts as inside the other footprint up to tol / edge length
+#   g0 = 2e-12 e^2 / h + a few u e in each half side. A corner counts as
+#   inside the other footprint up to tol / edge length
 #   <= 4e-12 e^2 / 2h beyond its edges, tol being the kernel's side
 #   tolerance. A crossing counts only where the ends of both edges lie
 #   beyond tol on either side of the other's line; that keeps it, wherever
 #   the rounding of t slides it along its own edge, on the other edge
-#   within a few u e. Coordinates round by a few u (X + e).
+#   within a few u e. Corner offsets and shifted corners round by a few u e.
 # - Sorted by angle about their mean, the vertices make a simple polygon
 #   inside their hull, so the kernel's overlap I is at most the overlap
 #   of the grown footprints plus the rounding of its shoelace sum, which
 #   is a few hundred u (e + 2 g0)^2.
-# - The bound grows every half side by g = 1e-9 (e + X) + 1e-11 e^2 / h,
-#   far more than g0 plus the few roundings of its own arithmetic, and
-#   adds 1e-9 (e + 2g)^2, so the overlap ov it computes is >= I.
+# - The bound grows every half side by g = 1e-9 e + 1e-11 e^2 / h, far
+#   more than g0 plus the few roundings of its own arithmetic, and adds
+#   1e-9 (e + 2g)^2, so the overlap ov it computes is >= I.
 # - The kernel's IoU is fl(I / fl(fl(A + B) - I)) and rounding is
 #   monotone, so a pair with ov <= fl(t fl(fl(A + B) - ov)), where
 #   t = threshold (1 - 1e-6), has a kernel IoU below the threshold. The
 #   denominator is positive there, since ov > 0. The 1e-6 is spare: the
 #   argument above needs only t <= threshold.
-# All of this holds for the sizes Box3D accepts, [_SIZE_MIN, _SIZE_MAX]:
-# e^2 stays normal, and e^2 / h and (e + 2g)^2 finite while X is below
-# 1e160. Past that every corner of the pair rounds onto its center, so
-# the kernel's overlap is 0 whatever the bound says. X is the pair's
-# own, so that a far box elsewhere in the set cannot overflow the bound
-# of a near pair (at threshold 0 an overflowed bound clears the pair).
+# For the sizes Box3D accepts, e^2 stays normal, and e^2 / h and
+# (e + 2g)^2 finite, wherever the centers lie.
 
 
 def _iou_may_exceed(ta, tb, threshold: float) -> np.ndarray:
@@ -281,9 +278,7 @@ def _iou_may_exceed(ta, tb, threshold: float) -> np.ndarray:
     xa, za, la, wa, ca, _, sa, _, area_a, ra = ta
     xb, zb, lb, wb, cb, _, sb, _, area_b, rb = tb
     e = ra + rb
-    x_max = np.maximum(np.abs(ta[:2]), np.abs(tb[:2])).max(axis=0)
-    grow = 1e-9 * (e + x_max) + 1e-11 * e * e / np.minimum(
-        np.minimum(la, wa), np.minimum(lb, wb))
+    grow = 1e-9 * e + 1e-11 * e * e / np.minimum(np.minimum(la, wa), np.minimum(lb, wb))
     la, wa, lb, wb = la + grow, wa + grow, lb + grow, wb + grow
     # b's center and bounding rectangle in a's local axes
     dx, dz = xb - xa, zb - za
@@ -302,7 +297,9 @@ def _apart(dx, dz, ra, rb):
     """Circumradius gate: True where two footprints cannot overlap.
 
     Elementwise, so a pair given as floats and the same pair inside
-    arrays get the same decision.
+    arrays get the same decision. A difference or square past the float
+    range is inf, so apart: Python floats overflow to inf silently, and
+    :func:`_near` has numpy do the same.
     """
     r = ra + rb
     return dx * dx + dz * dz > r * r
@@ -313,9 +310,9 @@ def _footprints(boxes) -> tuple[np.ndarray, np.ndarray]:
 
     Returns an (N, 10) table with the columns center x, center z, half
     length, half width, cos yaw, -sin yaw, sin yaw, cos yaw, area and
-    circumradius, and the counter-clockwise corners (N, 4, 2). Each row
-    comes from elementwise arithmetic on its own box, so a box gets the
-    same bits in any batch.
+    circumradius, and the counter-clockwise corners (N, 4, 2) as offsets
+    from the box's own center. Each row comes from elementwise
+    arithmetic on its own box, so a box gets the same bits in any batch.
     """
     # one flat list of Python floats converts faster than a list of rows
     table = []
@@ -325,12 +322,11 @@ def _footprints(boxes) -> tuple[np.ndarray, np.ndarray]:
         table += (x, z, 0.5 * b.length, 0.5 * b.width, c, -s, s, c,
                   b.length * b.width, _circumradius(b))
     rows = np.array(table, dtype=np.float64).reshape(-1, 10)
-    # corner = center + lx * (cos, -sin) + lz * (sin, cos), with the
-    # local offsets (lx, lz) = (+-length/2, +-width/2)
+    # corner offset = lx * (cos, -sin) + lz * (sin, cos), with the local
+    # offsets (lx, lz) = (+-length/2, +-width/2)
     lx = rows[:, None, 2:3] * _CORNER_X
     lz = rows[:, None, 3:4] * _CORNER_Z
-    corners = rows[:, None, 0:2] + (lx * rows[:, None, 4:6] + lz * rows[:, None, 6:8])
-    return rows, corners
+    return rows, lx * rows[:, None, 4:6] + lz * rows[:, None, 6:8]
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
@@ -345,28 +341,28 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _overlap_areas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _overlap_areas(a: np.ndarray, b: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Overlap areas of M footprint pairs, (M, 4, 2) x (M, 4, 2) -> (M,).
 
-    The overlap of two convex quads is the convex polygon whose vertices
-    are the corners of each quad inside the other and the crossings of
-    their edges. These (at most 24) candidates are ordered by angle
-    about their centroid and summed with the shoelace formula, as in
-    the OpenPCDet ``iou3d_nms`` kernels. A pair's
-    values pass only through elementwise arithmetic, maxima, stable row
-    sorts and fixed-order row sums, so it gets the same bits alone or
-    inside any batch; more than _KERNEL_ROWS pairs go through in slices
-    of that many. Overlaps at most a small share of the smaller
-    footprint, the rounding noise of touching pairs, are returned as 0.
+    ``a`` and ``b`` hold corner offsets from each box's center and
+    ``shift`` (M, 2) b's center minus a's: a's center is the origin. The
+    overlap of two convex quads is the convex polygon whose vertices are
+    the corners of each quad inside the other and the crossings of their
+    edges. These (at most 24) candidates are ordered by angle about
+    their centroid and summed with the shoelace formula, as in the
+    OpenPCDet ``iou3d_nms`` kernels. A pair's values pass only through
+    elementwise arithmetic, maxima, stable row sorts and fixed-order row
+    sums, so it gets the same bits alone or inside any batch; more than
+    _KERNEL_ROWS pairs go through in slices of that many. Overlaps at
+    most a small share of the smaller footprint, the rounding noise of
+    touching pairs, are returned as 0.
     """
     m = a.shape[0]
     if m > _KERNEL_ROWS:
-        return np.concatenate([_overlap_areas(a[s:s + _KERNEL_ROWS], b[s:s + _KERNEL_ROWS])
-                               for s in range(0, m, _KERNEL_ROWS)])
+        cut = [slice(s, s + _KERNEL_ROWS) for s in range(0, m, _KERNEL_ROWS)]
+        return np.concatenate([_overlap_areas(a[k], b[k], shift[k]) for k in cut])
     rows = np.arange(m)[:, None]
-    # coordinates relative to a's center keep the products small
-    o = 0.5 * (a[:, :1] + a[:, 2:3])
-    pa, pb = a - o, b - o
+    pa, pb = a, b + shift[:, None]
     ea, eb = pa[:, _NEXT] - pa, pb[:, _NEXT] - pb
     # (M, 4, 4) over corner/edge i of a and corner/edge j of b:
     # side_a[i, j] > 0 puts corner i of a on the inner side of edge j of
@@ -410,11 +406,12 @@ def _overlap_areas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _intersection_area_bev(a: Box3D, b: Box3D) -> float:
     """Footprint overlap area of two boxes in the ground plane."""
-    if _apart(a.center[0] - b.center[0], a.center[2] - b.center[2],
-              _circumradius(a), _circumradius(b)):
+    (xa, _, za), (xb, _, zb) = a.center.tolist(), b.center.tolist()
+    dx, dz = xb - xa, zb - za
+    if _apart(dx, dz, _circumradius(a), _circumradius(b)):
         return 0.0
     corners = _footprints([a, b])[1]
-    return float(_overlap_areas(corners[:1], corners[1:])[0])
+    return float(_overlap_areas(corners[:1], corners[1:], np.array([[dx, dz]]))[0])
 
 
 def _iou(inter, size_a, size_b):
@@ -425,28 +422,30 @@ def _iou(inter, size_a, size_b):
 
 
 def iou_bev(a: Box3D, b: Box3D) -> float:
-    """Intersection over union of the two yaw-rotated footprints, in [0, 1]."""
+    """Intersection over union of the two yaw-rotated footprints, in [0, 1];
+    of the centers, only their rounded differences count."""
     return float(_iou(_intersection_area_bev(a, b), a.length * a.width,
                       b.length * b.width))
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
-    """Volume intersection over union: BEV overlap times vertical overlap."""
-    lo = max(a.center[1] - a.height / 2.0, b.center[1] - b.height / 2.0)
-    hi = min(a.center[1] + a.height / 2.0, b.center[1] + b.height / 2.0)
-    inter = _intersection_area_bev(a, b) * max(0.0, hi - lo)
+    """Volume intersection over union: BEV overlap times vertical overlap;
+    of the centers, only their rounded differences count."""
+    # Python floats: a difference past the float range is inf, unwarned
+    ha, hb = 0.5 * a.height, 0.5 * b.height
+    dy = float(b.center[1]) - float(a.center[1])
+    inter = _intersection_area_bev(a, b) * max(0.0, min(ha, dy + hb) - max(-ha, dy - hb))
     return float(_iou(inter, a.volume, b.volume))
 
 
 def _near(cols, first, second) -> np.ndarray:
-    """(len(first), len(second)) mask of the pairs the gate lets through.
-
-    ``cols`` is the _footprints table transposed; the gate sees the same
-    differences as a one-pair test of box ``first`` against ``second``.
-    """
+    """(len(first), len(second)) mask of the pairs the gate lets through,
+    from ``cols``, the _footprints table transposed, with the differences
+    of a one-pair test of box ``first`` against ``second``."""
     x, z, r = cols[0], cols[1], cols[9]
-    return ~_apart(x[second] - x[first, None], z[second] - z[first, None],
-                   r[first, None], r[second])
+    with np.errstate(over="ignore"):
+        return ~_apart(x[second] - x[first, None], z[second] - z[first, None],
+                       r[first, None], r[second])
 
 
 def _suppresses(cols, corners, a, b, threshold: float) -> np.ndarray:
@@ -459,7 +458,7 @@ def _suppresses(cols, corners, a, b, threshold: float) -> np.ndarray:
     hit = _iou_may_exceed(ta, tb, threshold)
     m = np.flatnonzero(hit)
     if m.size:
-        inter = _overlap_areas(corners[a[m]], corners[b[m]])
+        inter = _overlap_areas(corners[a[m]], corners[b[m]], (tb[:2, m] - ta[:2, m]).T)
         hit[m] = _iou(inter, ta[8, m], tb[8, m]) > threshold
     return hit
 
@@ -548,8 +547,8 @@ def nms(boxes, scores, iou_threshold: float) -> list[int]:
 
 
 def enlarge_box(box: Box3D, amount: float) -> Box3D:
-    """Grow every size dimension by ``amount``; center and yaw unchanged."""
-    amount = _real(amount, "amount", 0.0, interval="[0, inf)")
+    """Grow every size by ``amount`` in [0, 1e50]; center and yaw unchanged."""
+    amount = _real(amount, "amount", 0.0, _SIZE_MAX, f"[0, {_SIZE_MAX!r}]")
     return Box3D(
         box.center.copy(),
         box.length + amount,

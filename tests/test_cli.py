@@ -765,6 +765,15 @@ class TestConfigHandling:
         assert err.startswith("usage error:") and key in err
         assert not out.exists()
 
+    def test_enlarge_beyond_the_size_range_names_the_key(self, tmp_path, capsys):
+        # the enlarged proposal would leave Box3D's size range, whose
+        # error named the length, a key the user never set
+        out = tmp_path / "report.json"
+        assert main(["roi-demo", "--enlarge", "1e60", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: enlarge must be finite and in [0, 1e+50], got 1e+60\n")
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("source", ["config", "flag"])
     def test_half_range_whose_bin_width_overflows_is_usage_error(

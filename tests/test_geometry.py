@@ -58,6 +58,11 @@ def unit_box(cx=0.0, cy=0.0, cz=0.0, l=1.0, h=1.0, w=1.0, yaw=0.0):
     return Box3D(np.array([cx, cy, cz]), l, h, w, yaw)
 
 
+def moved(box, offset):
+    """``box`` with ``offset`` added to each center coordinate."""
+    return Box3D(box.center + offset, box.length, box.height, box.width, box.yaw)
+
+
 def shifted(box, dl=0.0, dw=0.0):
     """``box`` moved dl along its length axis and dw along its width axis."""
     c, s = np.cos(box.yaw), np.sin(box.yaw)
@@ -274,6 +279,14 @@ class TestGatherPointImageFeatures:
         np.testing.assert_array_equal(visible, [True, False, False])
 
 
+def kernel_inputs(pairs):
+    """The footprint tables and offset corners of the first and second
+    boxes of ``pairs``, and each pair's shift, b's center minus a's."""
+    rows_a, corners_a = _footprints([a for a, _ in pairs])
+    rows_b, corners_b = _footprints([b for _, b in pairs])
+    return rows_a, rows_b, corners_a, corners_b, rows_b[:, :2] - rows_a[:, :2]
+
+
 class TestIoU:
     def test_identical_boxes(self):
         b = random_box(np.random.default_rng(12))
@@ -352,22 +365,98 @@ class TestIoU:
             assert abs(iou_3d(a, b) - mc_iou_3d(a, b, 100_000, rng)) < 0.01
 
 
+def dyadic_box(rng, center, spread, like=None):
+    """A box about ``center`` whose center coordinates are multiples of
+    2**-8 (exact however far a power of two moves them): random, or
+    ``like`` turned by a little."""
+    c = np.round((center + rng.uniform(-spread, spread, size=3)) * 256.0) / 256.0
+    if like is not None:
+        return Box3D(c, like.length, like.height, like.width, like.yaw + rng.normal(0.0, 0.1))
+    return Box3D(c, rng.uniform(0.5, 4.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 4.0),
+                 rng.uniform(-np.pi, np.pi))
+
+
+class TestPairFrame:
+    """Each pair is worked out in its own frame, so only the rounded
+    center differences count, not how far out the pair lies."""
+
+    @pytest.mark.parametrize("center, sizes", [
+        ((40.0, 0.0, 40.0), (1e-14, 1e-14, 1e-14)),  # iou_bev was -103.6
+        ((1e16, 0.0, 1e16), (1.0, 1.0, 1.0)),  # corners rounded onto the center
+        ((0.0, 40.0, 0.0), (1.0, 3e-15, 1.0)),  # iou_3d was 0.0
+        ((0.0, 1e16, 0.0), (1.0, 1.0, 1.0)),
+    ])
+    def test_identical_boxes_give_one(self, center, sizes):
+        box = Box3D(np.array(center), *sizes, 0.0)
+        assert iou_bev(box, box) == 1.0
+        assert iou_3d(box, box) == 1.0
+
+    @pytest.mark.parametrize("offset", [2.0 ** 40, -2.0 ** 40])
+    def test_a_power_of_two_translation_keeps_every_bit(self, offset):
+        rng = np.random.default_rng(46)
+        pairs = []
+        for _ in range(300):
+            a = dyadic_box(rng, 0.0, 62.0)
+            pairs.append((a, dyadic_box(rng, a.center, 2.0)))
+        assert sum(iou_bev(a, b) > 0.0 for a, b in pairs) > 100
+        for a, b in pairs:
+            far_a, far_b = moved(a, offset), moved(b, offset)
+            assert iou_bev(far_a, far_b) == iou_bev(a, b)
+            assert iou_3d(far_a, far_b) == iou_3d(a, b)
+        seeds = [dyadic_box(rng, 0.0, 60.0) for _ in range(12)]
+        boxes = [dyadic_box(rng, seeds[k % 12].center, 0.3, seeds[k % 12])
+                 for k in range(200)]
+        scores = list(np.round(rng.uniform(0.0, 1.0, len(boxes)), 1))
+        for threshold in (0.0, 0.3, 0.8):
+            kept = nms(boxes, scores, threshold)
+            assert len(kept) < len(boxes)
+            assert nms([moved(b, offset) for b in boxes], scores, threshold) == kept
+
+    def test_ious_stay_in_the_unit_interval(self):
+        # sides from 1e-15 to 1e3 and centers out to 1e15: with the
+        # corners built about the origin, sides near the float spacing
+        # of the centers gave IoUs such as -26.9 and -6.1
+        rng = np.random.default_rng(47)
+        for _ in range(2000):
+            size, reach = 10.0 ** rng.uniform(-15.0, 3.0), 10.0 ** rng.uniform(0.0, 15.0)
+            yaw = rng.choice([0.0, rng.uniform(-np.pi, np.pi)])
+            a = Box3D(rng.uniform(-reach, reach, size=3),
+                      *(size * rng.uniform(0.5, 2.0, size=3)), yaw)
+            b = Box3D(a.center + rng.normal(0.0, 0.5 * size, size=3),
+                      *(size * rng.uniform(0.5, 2.0, size=3)),
+                      yaw + rng.choice([0.0, rng.uniform(-np.pi, np.pi)]))
+            for first, second in ((a, b), (b, a), (a, a)):
+                assert 0.0 <= iou_bev(first, second) <= 1.0
+                assert 0.0 <= iou_3d(first, second) <= 1.0
+
+    def test_boxes_at_the_ends_of_the_float_range_are_apart(self):
+        # their center differences overflow: the gate decides them
+        # apart, with no warning
+        a, b = unit_box(cx=1.7e308), unit_box(cx=-1.7e308)
+        assert iou_bev(a, b) == iou_bev(b, a) == 0.0
+        assert iou_3d(a, b) == iou_3d(b, a) == 0.0
+        assert nms([a, b], [0.9, 0.8], 0.0) == [0, 1]
+        high, low = unit_box(cy=1.7e308), unit_box(cy=-1.7e308)
+        assert iou_bev(high, low) == 1.0 and iou_3d(high, low) == 0.0
+
+
 class TestOverlapKernel:
     def test_batched_equals_one_pair_bits(self):
         rng = np.random.default_rng(17)
         pairs = [(random_box(rng), random_box(rng)) for _ in range(300)]
         pairs += list(degenerate_pairs().values())
         pairs += [near_collinear_pair(rng) for _ in range(100)]
-        corners_a = _footprints([a for a, _ in pairs])[1]
-        corners_b = _footprints([b for _, b in pairs])[1]
-        batched = _overlap_areas(corners_a, corners_b)
-        alone = np.array([_overlap_areas(corners_a[k:k + 1], corners_b[k:k + 1])[0]
+        _, _, corners_a, corners_b, shift = kernel_inputs(pairs)
+        batched = _overlap_areas(corners_a, corners_b, shift)
+        alone = np.array([_overlap_areas(corners_a[k:k + 1], corners_b[k:k + 1],
+                                         shift[k:k + 1])[0]
                           for k in range(len(pairs))])
         assert np.array_equal(batched, alone)
         # a batch longer than one slice of the kernel, ending mid-slice
         repeats = (2 * _KERNEL_ROWS) // len(pairs) + 1
         sliced = _overlap_areas(np.tile(corners_a, (repeats, 1, 1)),
-                                np.tile(corners_b, (repeats, 1, 1)))
+                                np.tile(corners_b, (repeats, 1, 1)),
+                                np.tile(shift, (repeats, 1)))
         assert len(sliced) % _KERNEL_ROWS and np.array_equal(sliced, np.tile(alone, repeats))
         one_pair = np.array([_intersection_area_bev(a, b) for a, b in pairs])
         assert np.array_equal(batched, one_pair)
@@ -383,9 +472,8 @@ class TestOverlapKernel:
                   ("flush_nested", "swapped", "gap_under_long_edge", "tilted_long_flush")]
         pairs.append((base, Box3D(base.center, l, base.height, w, base.yaw + np.pi)))
         pairs += [(b, a) for a, b in pairs[300:]]
-        corners_a = _footprints([a for a, _ in pairs])[1]
-        corners_b = _footprints([b for _, b in pairs])[1]
-        areas = _overlap_areas(corners_a, corners_b)
+        _, _, corners_a, corners_b, shift = kernel_inputs(pairs)
+        areas = _overlap_areas(corners_a, corners_b, shift)
         for (a, b), area in zip(pairs, areas):
             own = min(a.length * a.width, b.length * b.width)
             assert abs(area - clip_overlap_area(a, b)) <= 1e-9 * own
@@ -397,9 +485,8 @@ class TestOverlapKernel:
         rng = np.random.default_rng(21)
         pairs = [near_collinear_pair(rng) for _ in range(400)]
         pairs += [(b, a) for a, b in pairs]
-        corners_a = _footprints([a for a, _ in pairs])[1]
-        corners_b = _footprints([b for _, b in pairs])[1]
-        areas = _overlap_areas(corners_a, corners_b)
+        _, _, corners_a, corners_b, shift = kernel_inputs(pairs)
+        areas = _overlap_areas(corners_a, corners_b, shift)
         for (a, b), area in zip(pairs, areas):
             own = min(a.length * a.width, b.length * b.width)
             assert abs(area - clip_overlap_area(a, b)) <= 2e-9 * own
@@ -430,7 +517,7 @@ class TestOverlapKernel:
               b.length * b.width, 0.5 * math.hypot(b.length, b.width)) for b in boxes])
         lx = rows[:, None, 2:3] * np.array([[1.0], [-1.0], [-1.0], [1.0]])
         lz = rows[:, None, 3:4] * np.array([[1.0], [1.0], [-1.0], [-1.0]])
-        corners = rows[:, None, 0:2] + (lx * rows[:, None, 4:6] + lz * rows[:, None, 6:8])
+        corners = lx * rows[:, None, 4:6] + lz * rows[:, None, 6:8]
         table, got = _footprints(boxes)
         assert np.array_equal(table, rows)
         assert np.array_equal(got, corners)
@@ -581,7 +668,7 @@ def table_iou(boxes):
     i, j = np.nonzero(~_apart(rows[:, None, 0] - rows[None, :, 0],
                               rows[:, None, 1] - rows[None, :, 1],
                               rows[:, None, 9], rows[None, :, 9]))
-    inter = _overlap_areas(corners[i], corners[j])
+    inter = _overlap_areas(corners[i], corners[j], rows[j, :2] - rows[i, :2])
     table = np.zeros((n, n))
     table[i, j] = np.where(inter == 0.0, 0.0, np.minimum(
         1.0, inter / (rows[i, 8] + rows[j, 8] - inter)))
@@ -772,7 +859,8 @@ class TestBlockedNms:
                         assert kept == ([0] if iou_bev(first, second) > threshold
                                         else [0, 1])
 
-    def test_bound_covers_the_kernel_iou(self):
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e12, 1e15, 1e100, -1e300])
+    def test_bound_covers_the_kernel_iou(self, offset):
         rng = np.random.default_rng(43)
         pairs = []
         while len(pairs) < 10_000:
@@ -797,9 +885,11 @@ class TestBlockedNms:
         pairs += [near_collinear_pair(rng) for _ in range(500)]
         for _ in range(20):
             pairs += tight_pairs(rng)
-        rows_a, corners_a = _footprints([a for a, _ in pairs])
-        rows_b, corners_b = _footprints([b for _, b in pairs])
-        inter = _overlap_areas(corners_a, corners_b)
+        # far out, the rounded center differences make other pairs, and
+        # past about 1e17 every pair shares its center
+        pairs = [(moved(a, offset), moved(b, offset)) for a, b in pairs]
+        rows_a, rows_b, corners_a, corners_b, shift = kernel_inputs(pairs)
+        inter = _overlap_areas(corners_a, corners_b, shift)
         iou = np.minimum(1.0, inter / (rows_a[:, 8] + rows_b[:, 8] - inter))
         hit = iou > 0.0
         assert hit.sum() > 5000
@@ -836,8 +926,7 @@ class TestBlockedNms:
         assert iou_bev(a, b) > 0.5
         for threshold in (0.0, 0.5):
             for boxes, kept in (([a, b, c], [0, 2]), ([c, a, b], [0, 1])):
-                with np.errstate(over="ignore"):  # the gate squares 1e300
-                    assert nms(boxes, [0.9, 0.8, 0.7], threshold) == kept
+                assert nms(boxes, [0.9, 0.8, 0.7], threshold) == kept
 
 
 @st.composite
@@ -917,7 +1006,7 @@ class TestBoxOps:
 
     @pytest.mark.parametrize("amount", [np.nan, np.inf])
     def test_enlarge_rejects_nonfinite(self, amount):
-        with pytest.raises(DomainError, match=r"^amount must be finite and in \[0, inf\)"):
+        with pytest.raises(DomainError, match=r"^amount must be finite and in \[0, 1e\+50\]"):
             enlarge_box(unit_box(), amount)
 
     def test_center_point_included(self):

@@ -382,7 +382,7 @@ _REAL_ARGUMENTS = [
       for key in ("length", "height", "width")),
     ("Box3D", "yaw", "(-inf, inf)", 0.5, lambda v: _box(yaw=v)),
     ("nms", "iou_threshold", "[0, 1]", 0.5, lambda v: nms([_box()], [1.0], v)),
-    ("enlarge_box", "amount", "[0, inf)", 0.5, lambda v: enlarge_box(_box(), v)),
+    ("enlarge_box", "amount", "[0, 1e+50]", 0.5, lambda v: enlarge_box(_box(), v)),
     ("rotate_y", "angle", "(-inf, inf)", 0.5, lambda v: rotate_y(_CLOUD, v)),
     ("scale", "factor", "(0, inf)", 1.5, lambda v: scale(_CLOUD, v)),
     ("Proposal", "score", "(-inf, inf)", 0.5, lambda v: Proposal(_box(), v)),
@@ -405,7 +405,7 @@ _REAL_ARGUMENTS = [
     *(("RunConfig", key, interval, inside,
        lambda v, key=key: RunConfig(**{key: v}))
       for key, interval, inside in (
-          ("nms_threshold", "[0, 1]", 0.5), ("enlarge", "[0, inf)", 0.5),
+          ("nms_threshold", "[0, 1]", 0.5), ("enlarge", "[0, 1e+50]", 0.5),
           ("focal_alpha", "(0, 1)", 0.5), ("focal_gamma", "[0, inf)", 1.5),
           ("bin_half_range", _HALF_RANGE, 1.5))),
     *(("SyntheticSceneSpec", key, interval, inside,

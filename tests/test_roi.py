@@ -29,9 +29,9 @@ def count_kernel_calls(monkeypatch) -> list:
     calls = []
     kernel = geometry._overlap_areas
 
-    def counting(a, b):
+    def counting(a, b, shift):
         calls.append(len(a))
-        return kernel(a, b)
+        return kernel(a, b, shift)
     monkeypatch.setattr(geometry, "_overlap_areas", counting)
     return calls
 
