@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config, subsystem_seed
+from .config import RunConfig, field_parsers, load_config, subsystem_seed
 from .errors import ParseError
 from .fusion import AAFInput, aaf_forward, init_params, run_gradcheck
 from .geometry import Box3D, in_image_bounds, iou_bev, project_points
@@ -43,6 +43,7 @@ from .sampling import aad, hybrid_sweep
 from .scene import SyntheticSceneSpec, generate_scene
 
 _DEFAULT_LAMBDAS = "1.0,1.2,1.4,1.6,2.0"
+_SCENE_HELP = "scene {name} (default {default})"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -89,13 +90,20 @@ def _box_to_json(box: Box3D) -> dict:
 _BOX_KEYS = tuple(f.name for f in dataclasses.fields(Box3D))
 
 
+def _refuse_unread(obj, keys, where: str = "", hints=None) -> None:
+    """Refuse ``obj`` unless it is a JSON object whose every key is in ``keys``.
+    Called before any value is read, it names a misspelled key as written."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{where}expected a JSON object")
+    for key in obj:
+        if key not in keys:
+            hint = (hints or {}).get(key, "")
+            raise ValueError(f"{where}key {key!r} is not read{hint}")
+
+
 def _box_from_json(obj, name: str) -> Box3D:
     try:
-        if not isinstance(obj, dict):
-            raise TypeError("expected a JSON object")
-        for key in obj:
-            if key not in _BOX_KEYS:
-                raise ValueError(f"key {key!r} is not read")
+        _refuse_unread(obj, _BOX_KEYS)
         return Box3D(*(obj[key] for key in _BOX_KEYS))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad box {name!r}: {exc}") from None
@@ -110,54 +118,44 @@ def _float_list(raw: str) -> list[float]:
         ) from None
 
 
-def _flag_values(args, cls, prefix: str) -> dict:
-    """The ``cls`` fields given on the command line as ``{prefix}_{name}``."""
-    values = {}
-    for field in dataclasses.fields(cls):
-        value = getattr(args, f"{prefix}_{field.name}", None)
-        if value is not None:
-            values[field.name] = value
-    return values
+def _flag(prefix: str, name: str) -> str:
+    # the scene's seed is --scene-seed, apart from the config key --seed
+    name = "scene_seed" if (prefix, name) == ("scene", "seed") else name
+    return "--" + name.replace("_", "-")
+
+
+def _add_flags(parser, cls, prefix, help, names=None, metavar=None) -> None:
+    """A flag per field of ``cls`` in ``names`` (default all), parsed as in a
+    config file; ``help`` is formatted with the field's name and default."""
+    parsers, defaults = field_parsers(cls), cls()
+    for name in names or parsers:
+        parser.add_argument(
+            _flag(prefix, name), dest=f"{prefix}_{name}", type=parsers[name],
+            metavar=metavar, default=None,
+            help=help.format(name=name, default=getattr(defaults, name)))
 
 
 def _add_run_config_args(parser, keys) -> None:
     """``--config`` plus one override flag per config key the command reads."""
     parser.add_argument("--config", metavar="PATH",
                         help="key = value configuration file")
-    defaults = RunConfig()
-    for key in keys:
-        parser.add_argument(
-            "--" + key.replace("_", "-"),
-            dest=f"cfg_{key}",
-            type=type(getattr(defaults, key)),
-            metavar="VALUE",
-            default=None,
-            help=f"override config key {key}",
-        )
+    _add_flags(parser, RunConfig, "cfg", "override config key {name}", keys, "VALUE")
+
+
+def _flag_values(args, cls, prefix: str) -> dict:
+    """The ``cls`` fields given on the command line, in field order."""
+    given = {name: getattr(args, f"{prefix}_{name}", None)
+             for name in field_parsers(cls)}
+    return {name: value for name, value in given.items() if value is not None}
+
+
+def _with_flags(args, base, prefix: str):
+    return dataclasses.replace(base, **_flag_values(args, type(base), prefix))
 
 
 def _resolve_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    return dataclasses.replace(cfg, **_flag_values(args, RunConfig, "cfg"))
-
-
-def _scene_flag(name: str) -> str:
-    return "--scene-seed" if name == "seed" else "--" + name.replace("_", "-")
-
-
-def _add_scene_args(parser) -> None:
-    for field in dataclasses.fields(SyntheticSceneSpec):
-        parser.add_argument(
-            _scene_flag(field.name),
-            dest=f"scene_{field.name}",
-            type=type(field.default),
-            default=None,
-            help=f"scene {field.name} (default {field.default})",
-        )
-
-
-def _scene_from_args(args) -> SyntheticSceneSpec:
-    return SyntheticSceneSpec(**_flag_values(args, SyntheticSceneSpec, "scene"))
+    return _with_flags(args, cfg, "cfg")
 
 
 def _read_attention_csv(path) -> np.ndarray:
@@ -198,7 +196,7 @@ def _read_attention_csv(path) -> np.ndarray:
 
 
 def cmd_gen_scene(args) -> int:
-    spec = _scene_from_args(args)
+    spec = _with_flags(args, SyntheticSceneSpec(), "scene")
     cloud, attention, boxes = generate_scene(spec)
     outdir = Path(args.outdir)
     # encoded first, so a cloud beyond float32 leaves no directory behind
@@ -227,9 +225,9 @@ def _study_inputs(args):
     if args.cloud:
         scene_flags = _flag_values(args, SyntheticSceneSpec, "scene")
         if scene_flags:
+            flags = ", ".join(_flag("scene", name) for name in scene_flags)
             raise ValueError(
-                f"{', '.join(map(_scene_flag, scene_flags))} set a synthetic "
-                "scene and cannot go with --cloud")
+                f"{flags} set a synthetic scene and cannot go with --cloud")
         cloud = read_point_cloud_bin(args.cloud)
         if len(cloud) == 0:
             raise ParseError(f"{args.cloud}: the cloud holds no points")
@@ -243,7 +241,8 @@ def _study_inputs(args):
         else:
             attention = np.full(len(cloud), 0.5)
         return cloud, attention
-    cloud, attention, _ = generate_scene(_scene_from_args(args))
+    spec = _with_flags(args, SyntheticSceneSpec(), "scene")
+    cloud, attention, _ = generate_scene(spec)
     return cloud, attention
 
 
@@ -316,7 +315,8 @@ def _jittered_proposals(boxes, per_box: int, rng) -> list[Proposal]:
 def cmd_roi_demo(args) -> int:
     cfg = _resolve_run_config(args)
     _count(args.proposals_per_box, "proposals_per_box", 1)
-    cloud, _, boxes = generate_scene(_scene_from_args(args))
+    spec = _with_flags(args, SyntheticSceneSpec(), "scene")
+    cloud, _, boxes = generate_scene(spec)
     n = len(cloud)
     feat_rng = np.random.default_rng(subsystem_seed(cfg.seed, "params"))
     c_img, c_pt, c_prev, c_out = 4, 4, 4, 8
@@ -370,15 +370,11 @@ def _finite_float(text: str) -> float:
 def cmd_loss_eval(args) -> int:
     cfg = _resolve_run_config(args)
     try:
-        # json reads NaN, Infinity and overflowing literals as floats
+        # json reads NaN, Infinity and overflowing literals as floats;
+        # its JSONDecodeError is a ValueError
         fixture = json.loads(Path(args.fixture).read_text(),
                              parse_float=_finite_float,
                              parse_constant=_finite_float)
-    except ValueError as exc:  # JSONDecodeError is one
-        raise ParseError(f"{args.fixture}: {exc}") from None
-    if not isinstance(fixture, dict):
-        raise ParseError(f"{args.fixture}: expected a JSON object")
-    try:
         report = _evaluate_losses(fixture, cfg)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{args.fixture}: {exc}") from None
@@ -386,18 +382,15 @@ def cmd_loss_eval(args) -> int:
     return 0
 
 
-# The keys a loss-eval fixture may hold, top level and under "stages".
+# The keys a loss-eval fixture may hold at its top level.
 _FIXTURE_KEYS = ("focal_c_t", "pred_box", "gt_box", "anchor_box", "logits_x",
                  "logits_z", "logits_yaw", "pred_residuals", "stages")
+_FOCAL_HINTS = {key: f"; set it with --focal-{key} or focal_{key} in --config"
+                for key in ("alpha", "gamma")}
 
 
 def _evaluate_losses(fixture: dict, cfg: RunConfig) -> dict:
-    for key in fixture:
-        if key in ("alpha", "gamma"):
-            raise ValueError(f"key {key!r} is not read; set it with "
-                             f"--focal-{key} or focal_{key} in --config")
-        if key not in _FIXTURE_KEYS:
-            raise ValueError(f"key {key!r} is not read")
+    _refuse_unread(fixture, _FIXTURE_KEYS, hints=_FOCAL_HINTS)
     focal_cfg = FocalConfig(alpha=cfg.focal_alpha, gamma=cfg.focal_gamma)
     bin_cfg = cfg.bin_config()
     pred_box = _box_from_json(fixture["pred_box"], "pred_box")
@@ -420,11 +413,8 @@ def _evaluate_losses(fixture: dict, cfg: RunConfig) -> dict:
     }
     if "stages" in fixture:
         stages = fixture["stages"]
-        values = [stages[key] for key in _TERM_NAMES]
-        for key in stages:
-            if key not in _TERM_NAMES:
-                raise ValueError(f"stages key {key!r} is not read")
-        report["total"] = total_loss(*values)
+        _refuse_unread(stages, _TERM_NAMES, "stages ")
+        report["total"] = total_loss(*(stages[key] for key in _TERM_NAMES))
     return report
 
 
@@ -436,7 +426,7 @@ def _build_parser() -> _ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-scene", help="write a synthetic scene to disk")
-    _add_scene_args(p)
+    _add_flags(p, SyntheticSceneSpec, "scene", _SCENE_HELP)
     p.add_argument("--outdir", required=True,
                    help="directory for cloud.bin, attention.csv, boxes.json")
     p.set_defaults(func=cmd_gen_scene)
@@ -445,7 +435,7 @@ def _build_parser() -> _ArgumentParser:
         "sample-study",
         help="mean AAD and foreground fraction across oversample factors",
     )
-    _add_scene_args(p)
+    _add_flags(p, SyntheticSceneSpec, "scene", _SCENE_HELP)
     p.add_argument("--cloud", help="point cloud .bin instead of a scene")
     p.add_argument("--attention", help="attention CSV for --cloud "
                                        "(uniform 0.5 when omitted)")
@@ -479,7 +469,7 @@ def _build_parser() -> _ArgumentParser:
                        help="proposal selection and RoI pooling summary")
     _add_run_config_args(p, ("seed", "nms_threshold", "pre_nms_top",
                              "proposals_keep", "enlarge", "roi_points"))
-    _add_scene_args(p)
+    _add_flags(p, SyntheticSceneSpec, "scene", _SCENE_HELP)
     p.add_argument("--proposals-per-box", type=int, default=16)
     p.add_argument("--out", default="-", help="output JSON path ('-' = stdout)")
     p.set_defaults(func=cmd_roi_demo)

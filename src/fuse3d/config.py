@@ -59,6 +59,11 @@ class RunConfig:
         return BinConfig(x=xz, z=xz, yaw=BinSpec(math.pi, self.bin_count_yaw, wrap=True))
 
 
+def field_parsers(cls) -> dict:
+    """Each field of ``cls`` mapped to the parser of its text: its default's type."""
+    return {f.name: type(f.default) for f in dataclasses.fields(cls)}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse ``key = value`` lines; '#' starts a comment, blanks skipped.
 
@@ -66,7 +71,7 @@ def parse_config(text: str) -> RunConfig:
     a value out of its key's range raises ValueError. Missing keys keep
     defaults.
     """
-    types = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+    parsers = field_parsers(RunConfig)
     values = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -76,13 +81,13 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError(f"line {line_no}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in types:
+        if key not in parsers:
             raise ParseError(f"line {line_no}: unknown key {key!r}")
         if key in values:
             raise ParseError(f"line {line_no}: {key} given a second time")
         value = value.strip()
         try:
-            values[key] = types[key](value)
+            values[key] = parsers[key](value)
         except ValueError as exc:
             raise ParseError(
                 f"line {line_no}: bad value for {key}: {value!r} ({exc})"

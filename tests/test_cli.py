@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from fuse3d import (
+    RunConfig,
     SamplerConfig,
     SyntheticSceneSpec,
     aad,
@@ -16,7 +18,8 @@ from fuse3d import (
     hybrid_sample,
     read_point_cloud_bin,
 )
-from fuse3d.cli import main
+from fuse3d.cli import _build_parser, main
+from fuse3d.config import field_parsers
 
 IDENTITY_CALIB = """\
 P2: 1 0 0 0 0 1 0 0 0 0 1 0
@@ -562,6 +565,30 @@ class TestLossEval:
             f"data error: {fixture}: {where} {key!r} is not read\n")
         assert not out.exists()
 
+    def test_misspelled_stage_key_is_named_as_written(self, tmp_path, capsys):
+        # the stage values were read before the keys were checked, so the
+        # error named the missing 'rcnn_reg', not the key the user wrote
+        payload = self.fixture_payload()
+        payload["stages"]["rcnn_rge"] = payload["stages"].pop("rcnn_reg")
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(payload))
+        out = tmp_path / "losses.json"
+        assert main(["loss-eval", "--fixture", str(fixture),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {fixture}: stages key 'rcnn_rge' is not read\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stages", [[1.0, 2.0, 3.0, 4.0], "rpn_cls", 10.0])
+    def test_stages_that_are_not_an_object_are_a_data_error(
+            self, tmp_path, capsys, stages):
+        payload = dict(self.fixture_payload(), stages=stages)
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(payload))
+        assert main(["loss-eval", "--fixture", str(fixture)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {fixture}: stages expected a JSON object\n")
+
     def test_unread_box_key_is_data_error(self, tmp_path, capsys):
         payload = self.fixture_payload()
         payload["gt_box"] = dict(payload["gt_box"], yaw_deg=90.0)
@@ -828,6 +855,35 @@ class TestConfigHandling:
         listed = re.findall(r"override config key (\w+)",
                             capsys.readouterr().out)
         assert listed == keys
+
+    def test_every_field_flag_parses_as_the_config_reader(self):
+        # RunConfig keys and SyntheticSceneSpec fields have one parser
+        # each, which config files and flags share
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        checked = set()
+        for command, parser in sub.choices.items():
+            for action in parser._actions:
+                for prefix, cls in (("cfg_", RunConfig),
+                                    ("scene_", SyntheticSceneSpec)):
+                    if action.dest.startswith(prefix):
+                        name = action.dest[len(prefix):]
+                        assert action.type is field_parsers(cls)[name], (
+                            command, action.option_strings)
+                        checked.add((cls.__name__, name))
+        assert checked == {
+            (cls.__name__, name) for cls in (RunConfig, SyntheticSceneSpec)
+            for name in field_parsers(cls)}
+
+    @pytest.mark.parametrize("command", ["gen-scene", "sample-study",
+                                         "roi-demo"])
+    def test_scene_flags_follow_the_field_order(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        listed = re.findall(r"(--[\w-]+) SCENE_\w+\n", capsys.readouterr().out)
+        assert listed == [
+            "--num-clusters", "--points-per-cluster", "--cluster-radius",
+            "--background-points", "--background-extent",
+            "--attention-contrast", "--scene-seed"]
 
     @pytest.mark.parametrize("argv", [
         ["loss-eval", "--enlarge", "0.3"],

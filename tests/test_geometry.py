@@ -376,6 +376,21 @@ def dyadic_box(rng, center, spread, like=None):
                  rng.uniform(-np.pi, np.pi))
 
 
+class TestAspectRatio:
+    @pytest.mark.parametrize("ratio", [1.0, 1e3, 1e6])
+    def test_thin_footprints_stay_within_1e_8(self, ratio):
+        # the error grows as about 2e-16 times the length/width ratio
+        # (2e-10 at 1e6, 1.4e-8 at 1e8, 0.67 at 1e12); the shifted pairs
+        # overlap on half of each box, an IoU of exactly 1/3
+        rng = np.random.default_rng(108)
+        for yaw in rng.uniform(-np.pi, np.pi, 100):
+            a = unit_box(l=ratio, yaw=yaw)
+            for b, exact in ((a, 1.0), (shifted(a, dl=ratio / 2), 1 / 3),
+                             (shifted(a, dw=0.5), 1 / 3)):
+                assert iou_bev(a, b) == pytest.approx(exact, rel=0, abs=1e-8)
+                assert iou_3d(a, b) == pytest.approx(exact, rel=0, abs=1e-8)
+
+
 class TestPairFrame:
     """Each pair is worked out in its own frame, so only the rounded
     center differences count, not how far out the pair lies."""
@@ -1008,6 +1023,14 @@ class TestBoxOps:
     def test_enlarge_rejects_nonfinite(self, amount):
         with pytest.raises(DomainError, match=r"^amount must be finite and in \[0, 1e\+50\]"):
             enlarge_box(unit_box(), amount)
+
+    def test_enlarge_past_the_size_range_names_the_amount(self):
+        # the grown length, 2e+50, was named, though the caller gave an amount
+        long_box = Box3D(np.zeros(3), 1e50, 1.0, 1.0, 0.0)
+        with pytest.raises(DomainError, match=(
+                r"^amount must be finite and in \[0, 0\.0\], got 1e\+50$")):
+            enlarge_box(long_box, 1e50)
+        assert enlarge_box(long_box, 0.0).length == 1e50
 
     def test_center_point_included(self):
         cloud = PointCloud(np.zeros((1, 3)))
